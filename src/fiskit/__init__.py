@@ -44,6 +44,7 @@ from .fis import (
     Transition,
     check_scenario,
     enumerate_language,
+    first_accepted,
     format_fis,
     iter_accepted,
     parse_fis,

@@ -12,7 +12,6 @@ witness pumps vertically, so a nonempty language is infinite.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .errors import NotAReductionFis, NotReductionScenario
@@ -21,12 +20,12 @@ from .fis import (
     Scenario,
     Transition,
     check_scenario,
-    iter_accepted,
+    first_accepted,
     recognize,
-    recognize_with_transition,
 )
 from .grids import Grid, grid, v_compose
-from .pcp import MARKER, PcpInstance, TransKind, classify_transition, compile_pcp
+from .pcp import (MARKER, PcpInstance, TransKind, c_state, classify_transition,
+                  compile_pcp, m_class, parse_name)
 
 
 @dataclass(frozen=True)
@@ -49,18 +48,14 @@ def bounded_emptiness(f: FIS, b: SearchBounds) -> tuple[Grid, Scenario] | None:
     letters by alphabet declaration order.  Letters are chosen inside
     frontier propagation, so grids are never enumerated one by one.
     """
-    for w in iter_accepted(f, b.max_rows, b.max_cols):
-        return w, recognize(f, w)
-    return None
+    return first_accepted(f, b.max_rows, b.max_cols)
 
 
 def bounded_accessibility(f: FIS, t: Transition,
                           b: SearchBounds) -> tuple[Grid, Scenario] | None:
     """The canonically first accepted grid within bounds whose scenario
     uses ``t``, with such a scenario, or ``None``."""
-    for w in iter_accepted(f, b.max_rows, b.max_cols, using=t):
-        return w, recognize_with_transition(f, w, t)
-    return None
+    return first_accepted(f, b.max_rows, b.max_cols, using=t)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +85,14 @@ class FinitenessReport:
 
 def _is_reduction_fis(f: FIS) -> bool:
     # the shape compile_pcp guarantees and vertical padding relies on
-    pad = Transition("c(0,0)", "A", MARKER, "A", "c(0,0)")
+    pad = Transition(c_state(0, 0), "A", MARKER, "A", c_state(0, 0))
     def settled_marker(name: str) -> bool:
-        parsed = _parse_m(name)
+        parsed = parse_name(name, "M")
         return parsed is not None and parsed[1:] == (0, 0)
     return (
         f.initial_states == ("s",)
         and f.initial_classes == ("A",)
-        and f.final_states == ("c(0,0)",)
+        and f.final_states == (c_state(0, 0),)
         and len(f.final_classes) >= 1
         and f.final_classes[0] == "A"
         and all(settled_marker(c) for c in f.final_classes[1:])
@@ -137,26 +132,6 @@ def format_finiteness_report(rep: FinitenessReport) -> str:
 
 # ---------------------------------------------------------------------------
 # structural examination of reduction scenarios
-
-_A_RE = re.compile(r"a\((\d+),(\d+)\)\Z")
-_C_RE = re.compile(r"c\((\d+),(\d+)\)\Z")
-_M_RE = re.compile(r"M\((\d+),(\d+),(\d+)\)\Z")
-
-
-def _parse_a(name: str) -> tuple[int, int] | None:
-    m = _A_RE.match(name)
-    return (int(m.group(1)), int(m.group(2))) if m else None
-
-
-def _parse_c(name: str) -> tuple[int, int] | None:
-    m = _C_RE.match(name)
-    return (int(m.group(1)), int(m.group(2))) if m else None
-
-
-def _parse_m(name: str) -> tuple[int, int, int] | None:
-    m = _M_RE.match(name)
-    return tuple(int(g) for g in m.groups()) if m else None
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -204,7 +179,7 @@ def _x_blocks(p: PcpInstance, souths, letters) -> tuple[list[int] | None, str]:
     xs: list[int] = []
     pos, q = 0, len(souths)
     while pos < q:
-        ij = _parse_a(souths[pos])
+        ij = parse_name(souths[pos], "a")
         if ij is None or ij[1] != 1:
             return None, f"column {pos + 1}: {souths[pos]!r} does not open a word"
         i = ij[0]
@@ -214,7 +189,7 @@ def _x_blocks(p: PcpInstance, souths, letters) -> tuple[list[int] | None, str]:
         for off, ch in enumerate(word):
             if pos + off >= q:
                 return None, f"column {q}: word {i} truncated at the border"
-            if _parse_a(souths[pos + off]) != (i, off + 1):
+            if parse_name(souths[pos + off], "a") != (i, off + 1):
                 return None, (f"column {pos + off + 1}: "
                               f"{souths[pos + off]!r} breaks word {i}")
             if letters[pos + off] != ch:
@@ -267,13 +242,13 @@ def structural_check(p: PcpInstance, sc: Scenario) -> StructuralReport:
     fails += [f"west border row {i + 1} is {c!r}"
               for i, c in enumerate(sc.b_w) if c != "A"]
     fails += [f"south border column {i + 1} is {s!r}"
-              for i, s in enumerate(sc.b_s) if s != "c(0,0)"]
+              for i, s in enumerate(sc.b_s) if s != c_state(0, 0)]
     frame = CheckResult(not fails, "; ".join(fails[:3]))
 
     xs = ys = None
     if m >= 2:
         xs, x_err = _x_blocks(p, _row_souths(sc, 1), cells[0])
-        pairs = [_parse_c(s) for s in _row_souths(sc, 2)]
+        pairs = [parse_name(s, "c") for s in _row_souths(sc, 2)]
         if None in pairs:
             t = pairs.index(None)
             seconds, y_err = None, f"column {t + 1}: not a pair state"
@@ -333,7 +308,7 @@ def structural_check(p: PcpInstance, sc: Scenario) -> StructuralReport:
                     tail_fails.append(f"row {r} column {t + 1}")
         tail_rows = CheckResult(not tail_fails, "; ".join(tail_fails[:3]))
 
-        want_e = ("A", "A") + tuple(f"M({i},0,0)" for i in xs) \
+        want_e = ("A", "A") + tuple(m_class(i, 0, 0) for i in xs) \
             + ("A",) * max(0, m - len(xs) - 2)
         if sc.b_e == want_e:
             east_border = CheckResult(True, "")
@@ -362,7 +337,7 @@ def _carry_streams(p: PcpInstance, sc: Scenario,
         return CheckResult(False, f"{m} rows cannot host {k} reduction rows")
     for step in range(k + 1):
         souths = _row_souths(sc, step + 2)
-        pairs = [_parse_c(s) for s in souths]
+        pairs = [parse_name(s, "c") for s in souths]
         if None in pairs:
             t = pairs.index(None)
             return CheckResult(False, f"row {step + 2} column {t + 1}: "

@@ -226,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FiskitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, still an error and never a "no"
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,12 +19,17 @@ class crossing the current cell border.  Border nondeterminism is
 resolved lazily: a first-row cell draws its north state from the
 initial states and a first-column cell draws its west class from the
 initial classes when the cell is parsed.
+
+Each layer of frontiers maps a frontier to the first (canonical)
+back-pointer that produced it, so a search that finds a grid also holds
+its canonical scenario and returns it without recognizing the grid
+again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import FormatError, UnknownLetter, UnknownTransition
 from .grids import Grid, check_letter
@@ -141,6 +146,19 @@ def unused_elements(f: FIS) -> dict[str, tuple[str, ...]]:
         "states": tuple(s for s in f.states if s not in used_states),
         "classes": tuple(c for c in f.classes if c not in used_classes),
     }
+
+
+def live_transitions(f: FIS) -> tuple[Transition, ...]:
+    """The transitions that can fire, in declaration order.
+
+    A transition naming an undeclared letter, state or class can never
+    fire and is left out; duplicate declarations collapse to the first.
+    """
+    letters, states, classes = set(f.alphabet), set(f.states), set(f.classes)
+    return tuple(dict.fromkeys(
+        t for t in f.transitions
+        if t.letter in letters and t.north in states and t.south in states
+        and t.west in classes and t.east in classes))
 
 
 @dataclass(frozen=True)
@@ -319,71 +337,37 @@ class _Engine:
     """
 
     def __init__(self, f: FIS):
-        self.fis = f
-        letter_id: dict[str, int] = {}
-        for a in f.alphabet:
-            letter_id.setdefault(a, len(letter_id))
-        state_id: dict[str, int] = {}
-        for s in f.states:
-            state_id.setdefault(s, len(state_id))
-        class_id: dict[str, int] = {}
-        for c in f.classes:
-            class_id.setdefault(c, len(class_id))
-        self.letter_id = letter_id
-        self.state_id = state_id
-        self.class_id = class_id
-        self.letter_names = list(letter_id)
-        self.state_names = list(state_id)
-        self.class_names = list(class_id)
+        self.letter_names, self.state_names, self.class_names = (
+            list(dict.fromkeys(names)) for names in (f.alphabet, f.states, f.classes))
+        self.letter_id, self.state_id, self.class_id = (
+            {name: i for i, name in enumerate(names)}
+            for names in (self.letter_names, self.state_names, self.class_names))
 
-        keys: list[tuple[int, int, int, int, int]] = []
-        self.t_names: list[Transition] = []
-        seen: set[tuple[int, int, int, int, int]] = set()
-        for t in f.transitions:
-            try:
-                key = (state_id[t.north], class_id[t.west], letter_id[t.letter],
-                       class_id[t.east], state_id[t.south])
-            except KeyError:
-                continue  # mentions an undeclared name, can never fire
-            if key in seen:
-                continue  # duplicate declarations collapse set-wise
-            seen.add(key)
-            keys.append(key)
-            self.t_names.append(t)
-        self.t_east = [k[3] for k in keys]
-        self.t_south = [k[4] for k in keys]
-        self.t_key: dict[tuple[int, int, int, int, int], int] = {
-            k: i for i, k in enumerate(keys)}
+        self.t_names = live_transitions(f)
+        self.t_index = {t: i for i, t in enumerate(self.t_names)}
+        self.t_east = [self.class_id[t.east] for t in self.t_names]
+        self.t_south = [self.state_id[t.south] for t in self.t_names]
         self.by_nw: dict[tuple[int, int], list[int]] = {}
         self.by_nwl: dict[tuple[int, int, int], list[int]] = {}
-        for ti, (n, w, l, _e, _s) in enumerate(keys):
+        for ti, t in enumerate(self.t_names):
+            n, w = self.state_id[t.north], self.class_id[t.west]
             self.by_nw.setdefault((n, w), []).append(ti)
-            self.by_nwl.setdefault((n, w, l), []).append(ti)
+            self.by_nwl.setdefault((n, w, self.letter_id[t.letter]), []).append(ti)
 
-        def ordered_ids(names: Iterable[str], table: dict[str, int]) -> tuple[int, ...]:
-            out: list[int] = []
-            for name in names:
-                i = table.get(name)
-                if i is not None and i not in out:
-                    out.append(i)
-            return tuple(out)
+        sid, cid = self.state_id, self.class_id
+        self.init_states = tuple(dict.fromkeys(sid[s] for s in f.initial_states if s in sid))
+        self.init_classes = tuple(dict.fromkeys(cid[c] for c in f.initial_classes if c in cid))
+        self.fin_states = frozenset(sid[s] for s in f.final_states if s in sid)
+        self.fin_classes = frozenset(cid[c] for c in f.final_classes if c in cid)
 
-        self.init_states = ordered_ids(f.initial_states, state_id)
-        self.init_classes = ordered_ids(f.initial_classes, class_id)
-        self.fin_states = frozenset(state_id[s] for s in set(f.final_states) & set(state_id))
-        self.fin_classes = frozenset(class_id[c] for c in set(f.final_classes) & set(class_id))
-
-    def grid_codes(self, g: Grid) -> list[list[int]]:
-        table = self.letter_id
-        codes = []
-        for row in g.cells:
-            crow = []
-            for a in row:
-                if a not in table:
-                    raise UnknownLetter(f"letter {a!r} is not in the alphabet")
-                crow.append(table[a])
-            codes.append(crow)
-        return codes
+    def track(self, t: Transition | None) -> int | None:
+        """The index of a transition to track, ``None`` for none."""
+        if t is None:
+            return None
+        t = Transition(*t)
+        if t not in self.t_index:
+            raise UnknownTransition(f"transition {t} is not declared")
+        return self.t_index[t]
 
     def _succ(self, f, j: int, q: int, letter, track):
         """Successor frontiers of ``f`` at column ``j``, canonical order."""
@@ -417,37 +401,33 @@ class _Engine:
                 and (track is None or used)
                 and all(s in self.fin_states for s in pending))
 
-    def run_fixed(self, codes: list[list[int]], track=None):
-        """Forward pass over a fixed grid, recording back-pointers.
+    def _layer(self, fset, j: int, q: int, letter: int, track, keep=None) -> dict:
+        """One cell of a fixed letter, recording back-pointers.
 
-        ``layers[p]`` maps each frontier reachable before cell ``p`` to
-        the first (canonical) ``(previous frontier, north, west,
-        transition index)`` that produced it.
+        Maps each successor of the frontiers in ``fset`` (that is in
+        ``keep``, when given) to the first (canonical) ``(previous
+        frontier, north, west, transition index)`` that produced it.
         """
-        m, q = len(codes), len(codes[0])
-        layers: list[dict] = [{_START: None}]
-        for i in range(m):
-            for j in range(q):
-                letter = codes[i][j]
-                nxt: dict = {}
-                for f in layers[-1]:
-                    for nf, n, w, ti in self._succ(f, j, q, letter, track):
-                        if nf not in nxt:
-                            nxt[nf] = (f, n, w, ti)
-                layers.append(nxt)
-        return layers
+        nxt: dict = {}
+        for f in fset:
+            for nf, n, w, ti in self._succ(f, j, q, letter, track):
+                if nf not in nxt and (keep is None or nf in keep):
+                    nxt[nf] = (f, n, w, ti)
+        return nxt
 
     def run_exist(self, m: int, q: int, track=None):
-        """Forward pass with the letter chosen existentially per cell."""
+        """Forward pass with the letter chosen existentially per cell.
+
+        Layers hold no back-pointers: this pass keeps every layer of
+        every letter choice, so they would multiply its memory.
+        """
         layers: list[dict] = [{_START: None}]
-        for i in range(m):
-            for j in range(q):
-                nxt: dict = {}
-                for f in layers[-1]:
-                    for nf, _n, _w, _ti in self._succ(f, j, q, None, track):
-                        if nf not in nxt:
-                            nxt[nf] = None
-                layers.append(nxt)
+        for p in range(m * q):
+            nxt: dict = {}
+            for f in layers[-1]:
+                for nf, _n, _w, _ti in self._succ(f, p % q, q, None, track):
+                    nxt[nf] = None  # a repeated key keeps its first position
+            layers.append(nxt)
         return layers
 
     def _useful(self, layers, m: int, q: int, track):
@@ -466,13 +446,17 @@ class _Engine:
                         break
         return useful
 
-    def iter_size(self, m: int, q: int, track=None) -> Iterator[Grid]:
-        """Accepted m x q grids in row-major lexicographic letter order.
+    def iter_size(self, m: int, q: int, track=None) -> Iterator[tuple[Grid, list[dict]]]:
+        """Accepted m x q grids in row-major lexicographic letter order,
+        each with its back-pointer layers.
 
-        Letters are chosen inside the propagation: a depth-first walk
-        over cells extends the frontier set one letter at a time and
-        only descends while some frontier can still reach acceptance,
-        so each yielded prefix is live and no grid is tested wholesale.
+        Letters are chosen inside the propagation: the letter walk
+        extends the frontier layer one letter at a time and only
+        descends while some frontier can still reach acceptance, so
+        each walked prefix is live and no grid is tested wholesale.
+        A frontier that feeds a useful frontier is itself useful, so
+        pruning keeps every canonical first back-pointer: the layers
+        give the same scenario as :func:`recognize` on the grid.
         """
         n = m * q
         layers = self.run_exist(m, q, track)
@@ -481,41 +465,26 @@ class _Engine:
         useful = self._useful(layers, m, q, track)
         if _START not in useful[0]:
             return
-        letters = self.letter_names
-        chosen: list[str] = []
+        names = self.letter_names
 
-        def rec(p: int, fset) -> Iterator[Grid]:
-            if p == n:
-                yield grids.grid(chosen[r * q:(r + 1) * q] for r in range(m))
-                return
-            j = p % q
-            up = useful[p + 1]
-            for li, name in enumerate(letters):
-                ns = set()
-                for f in fset:
-                    for nf, _n, _w, _ti in self._succ(f, j, q, li, track):
-                        if nf in up:
-                            ns.add(nf)
-                if ns:
-                    chosen.append(name)
-                    yield from rec(p + 1, ns)
-                    chosen.pop()
+        def step(p: int, fset, letter: int) -> dict:
+            return self._layer(fset, p % q, q, letter, track, useful[p + 1])
 
-        yield from rec(0, {_START})
+        for chosen, states in grids.walk({_START: None}, [range(len(names))] * n, step):
+            yield (grids.grid([names[li] for li in chosen[r * q:(r + 1) * q]]
+                              for r in range(m)), list(states))
 
     def scenario_from(self, g: Grid, layers, track) -> Scenario | None:
         """Rebuild the canonical scenario from a back-pointer pass."""
         m, q = g.rows, g.cols
         n = m * q
-        acc = next((f for f in layers[n] if self._accepts(f, track)), None)
-        if acc is None:
+        f = next((acc for acc in layers[n] if self._accepts(acc, track)), None)
+        if f is None:
             return None
         choices: list[tuple[int, int, int]] = []
-        f = acc
         for p in range(n, 0, -1):
-            prev, nn, ww, ti = layers[p][f]
+            f, nn, ww, ti = layers[p][f]
             choices.append((nn, ww, ti))
-            f = prev
         choices.reverse()
         t_names = self.t_names
         cell_runs = tuple(
@@ -528,21 +497,16 @@ class _Engine:
         return Scenario(grid=g, cell_runs=cell_runs, b_n=b_n, b_w=b_w, b_s=b_s, b_e=b_e)
 
 
-def _transition_key(eng: _Engine, t: Transition) -> int:
-    t = t if isinstance(t, Transition) else Transition(*t)
-    try:
-        key = (eng.state_id[t.north], eng.class_id[t.west], eng.letter_id[t.letter],
-               eng.class_id[t.east], eng.state_id[t.south])
-        return eng.t_key[key]
-    except KeyError:
-        raise UnknownTransition(f"transition {t} is not declared") from None
-
-
 def _recognize(f: FIS, w: Grid, using: Transition | None) -> Scenario | None:
     eng = _Engine(f)
-    track = _transition_key(eng, using) if using is not None else None
-    codes = eng.grid_codes(w)
-    layers = eng.run_fixed(codes, track)
+    track = eng.track(using)
+    ids, q = eng.letter_id, w.cols
+    layers: list[dict] = [{_START: None}]
+    for row in w.cells:
+        for j, a in enumerate(row):
+            if a not in ids:
+                raise UnknownLetter(f"letter {a!r} is not in the alphabet")
+            layers.append(eng._layer(layers[-1], j, q, ids[a], track))
     return eng.scenario_from(w, layers, track)
 
 
@@ -560,12 +524,17 @@ def recognize_with_transition(f: FIS, w: Grid, t: Transition) -> Scenario | None
     return _recognize(f, w, t)
 
 
-def _sizes(max_rows: int, max_cols: int) -> list[tuple[int, int]]:
-    sizes = [(m, q)
-             for m in range(1, max_rows + 1)
-             for q in range(1, max_cols + 1)]
-    sizes.sort(key=lambda mq: (mq[0] * mq[1], mq[0]))
-    return sizes
+def first_accepted(f: FIS, max_rows: int, max_cols: int,
+                   using: Transition | None = None) -> tuple[Grid, Scenario] | None:
+    """The canonically first accepted grid within the bounds and the
+    scenario :func:`recognize` gives on it, or ``None``.  With ``using``
+    set, only scenarios firing it count, as in :func:`recognize_with_transition`."""
+    eng = _Engine(f)
+    track = eng.track(using)
+    for m, q in grids.sizes(max_rows, max_cols):
+        for g, layers in eng.iter_size(m, q, track):
+            return g, eng.scenario_from(g, layers, track)
+    return None
 
 
 def iter_accepted(f: FIS, max_rows: int, max_cols: int,
@@ -577,9 +546,10 @@ def iter_accepted(f: FIS, max_rows: int, max_cols: int,
     admit a scenario firing that transition are yielded.
     """
     eng = _Engine(f)
-    track = _transition_key(eng, using) if using is not None else None
-    for m, q in _sizes(max_rows, max_cols):
-        yield from eng.iter_size(m, q, track)
+    track = eng.track(using)
+    for m, q in grids.sizes(max_rows, max_cols):
+        for g, _layers in eng.iter_size(m, q, track):
+            yield g
 
 
 def enumerate_language(f: FIS, max_rows: int, max_cols: int) -> list[Grid]:

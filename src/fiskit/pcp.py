@@ -19,6 +19,7 @@ these systems are undecidable too; the bounded searches in
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -133,22 +134,31 @@ def solve_pcp(p: PcpInstance, max_k: int):
 
 # -- state and class names of compiled systems ------------------------------
 
-def _a(i: int, j: int) -> str:
+def a_state(i: int, j: int) -> str:
     return f"a({i},{j})"
 
 
-def _c(i: int, j: int) -> str:
+def c_state(i: int, j: int) -> str:
     return f"c({i},{j})"
 
 
-def _m(i: int, j: int, k: int) -> str:
+def m_class(i: int, j: int, k: int) -> str:
     return f"M({i},{j},{k})"
 
 
-def _indices(name: str) -> tuple[int, ...]:
-    """The integer arguments of a rendered name like ``c(0,1)``."""
-    open_ = name.index("(")
-    return tuple(int(part) for part in name[open_ + 1:-1].split(","))
+_NAME_RES = {
+    "a": re.compile(r"a\((\d+),(\d+)\)\Z"),
+    "c": re.compile(r"c\((\d+),(\d+)\)\Z"),
+    "M": re.compile(r"M\((\d+),(\d+),(\d+)\)\Z"),
+}
+
+
+def parse_name(name: str, kind: str) -> tuple[int, ...] | None:
+    """The indices of a compiled name of ``kind`` (``"a"``, ``"c"`` or
+    ``"M"``), the inverse of :func:`a_state`, :func:`c_state` and
+    :func:`m_class`; ``None`` when ``name`` is not such a name."""
+    match = _NAME_RES[kind].match(name)
+    return tuple(int(g) for g in match.groups()) if match else None
 
 
 def compile_pcp(p: PcpInstance) -> FIS:
@@ -169,15 +179,15 @@ def compile_pcp(p: PcpInstance) -> FIS:
     xs, ys = p.x, p.y
 
     states = ["s"]
-    states += [_a(i, j) for i in range(1, n + 1) for j in range(1, len(xs[i - 1]) + 1)]
-    states += [_c(i, j) for i in range(n + 1) for j in range(n + 1)]
+    states += [a_state(i, j) for i in range(1, n + 1) for j in range(1, len(xs[i - 1]) + 1)]
+    states += [c_state(i, j) for i in range(n + 1) for j in range(n + 1)]
 
     classes = ["A"]
     classes += [f"B({i},{j})" for i in range(1, n + 1)
                 for j in range(1, len(xs[i - 1]))]
     classes += [f"C({i},{k})" for i in range(1, n + 1)
                 for k in range(1, len(ys[i - 1]))]
-    classes += [_m(i, j, k) for i in range(1, n + 1)
+    classes += [m_class(i, j, k) for i in range(1, n + 1)
                 for j in range(len(xs[i - 1]) + 1)
                 for k in range(len(ys[i - 1]) + 1)]
 
@@ -194,7 +204,7 @@ def compile_pcp(p: PcpInstance) -> FIS:
     for i in range(1, n + 1):
         for j in range(1, len(xs[i - 1]) + 1):
             trans.append(Transition(
-                "s", b_cls(i, j - 1), xs[i - 1][j - 1], b_cls(i, j), _a(i, j)))
+                "s", b_cls(i, j - 1), xs[i - 1][j - 1], b_cls(i, j), a_state(i, j)))
 
     # second row: spell letter k of y word i under letter g of x word j,
     # allowed only when the two letters agree
@@ -204,26 +214,26 @@ def compile_pcp(p: PcpInstance) -> FIS:
                 for g in range(1, len(xs[j - 1]) + 1):
                     if xs[j - 1][g - 1] == ys[i - 1][k - 1]:
                         trans.append(Transition(
-                            _a(j, g), c_cls(i, k - 1), ys[i - 1][k - 1],
-                            c_cls(i, k), _c(j, i)))
+                            a_state(j, g), c_cls(i, k - 1), ys[i - 1][k - 1],
+                            c_cls(i, k), c_state(j, i)))
 
     # marker cell where both index streams are already exhausted
-    trans.append(Transition(_c(0, 0), "A", MARKER, "A", _c(0, 0)))
+    trans.append(Transition(c_state(0, 0), "A", MARKER, "A", c_state(0, 0)))
 
     # open the reduction of pair i: both streams reach word i together,
     # or only one stream has it while the other is exhausted
     for i in range(1, n + 1):
         trans.append(Transition(
-            _c(i, i), "A", MARKER,
-            _m(i, len(xs[i - 1]) - 1, len(ys[i - 1]) - 1), _c(0, 0)))
+            c_state(i, i), "A", MARKER,
+            m_class(i, len(xs[i - 1]) - 1, len(ys[i - 1]) - 1), c_state(0, 0)))
     for i in range(1, n + 1):
         trans.append(Transition(
-            _c(i, 0), "A", MARKER,
-            _m(i, len(xs[i - 1]) - 1, len(ys[i - 1])), _c(0, 0)))
+            c_state(i, 0), "A", MARKER,
+            m_class(i, len(xs[i - 1]) - 1, len(ys[i - 1])), c_state(0, 0)))
     for i in range(1, n + 1):
         trans.append(Transition(
-            _c(0, i), "A", MARKER,
-            _m(i, len(xs[i - 1]), len(ys[i - 1]) - 1), _c(0, 0)))
+            c_state(0, i), "A", MARKER,
+            m_class(i, len(xs[i - 1]), len(ys[i - 1]) - 1), c_state(0, 0)))
 
     # carry a partially consumed pair eastwards; each side either copies
     # a zero, eats one more occurrence of word i, or skips a zero while
@@ -252,7 +262,8 @@ def compile_pcp(p: PcpInstance) -> FIS:
                     y_side.append((j2, k2, *got))
         for (j1, k1, m1, r1), (j2, k2, m2, r2) in itertools.product(x_side, y_side):
             trans.append(Transition(
-                _c(j1, j2), _m(i, k1, k2), MARKER, _m(i, r1, r2), _c(m1, m2)))
+                c_state(j1, j2), m_class(i, k1, k2), MARKER, m_class(i, r1, r2),
+                c_state(m1, m2)))
 
     deduped: list[Transition] = []
     seen: set[Transition] = set()
@@ -268,8 +279,8 @@ def compile_pcp(p: PcpInstance) -> FIS:
         transitions=tuple(deduped),
         initial_states=("s",),
         initial_classes=("A",),
-        final_states=(_c(0, 0),),
-        final_classes=("A",) + tuple(_m(i, 0, 0) for i in range(1, n + 1)),
+        final_states=(c_state(0, 0),),
+        final_classes=("A",) + tuple(m_class(i, 0, 0) for i in range(1, n + 1)),
     )
 
 
@@ -294,9 +305,9 @@ def compile_pcp_probe(p: PcpInstance) -> FIS:
     n = p.pairs
     extra = [
         Transition("s", "A", MARKER, "T", "s"),
-        *[Transition("s", _m(i, 0, 0), MARKER, "T", "s") for i in range(1, n + 1)],
-        Transition(_c(0, 0), "A", MARKER, "Q", "q"),
-        Transition(_c(0, 0), "Q", MARKER, "Q", "q"),
+        *[Transition("s", m_class(i, 0, 0), MARKER, "T", "s") for i in range(1, n + 1)],
+        Transition(c_state(0, 0), "A", MARKER, "Q", "q"),
+        Transition(c_state(0, 0), "Q", MARKER, "Q", "q"),
         probe_transition(),
     ]
     return FIS(
@@ -353,12 +364,13 @@ def classify_transition(t: Transition) -> TransKind:
     """Classify a transition of a :func:`compile_pcp` system."""
     if t.north == "s" and t.letter != MARKER:
         return TransKind.X_SPELL
-    if t.north.startswith("a("):
+    if parse_name(t.north, "a") is not None:
         return TransKind.Y_SPELL
-    if t.west.startswith("M("):
+    if parse_name(t.west, "M") is not None:
         return TransKind.CARRY
-    if t.west == "A" and t.letter == MARKER and t.north.startswith("c("):
-        i, j = _indices(t.north)
+    ij = parse_name(t.north, "c")
+    if t.west == "A" and t.letter == MARKER and ij is not None:
+        i, j = ij
         if i == j == 0:
             return TransKind.PAD
         if i == j:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import FormatError, UnknownLetter
-from .fis import FIS, Transition, _Engine
-from .grids import BORDER, Grid, border, check_letter, grid, subgrids
+from .fis import FIS, Transition, live_transitions
+from .grids import BORDER, Cells, Grid, border, check_letter, grid, sizes, subgrids, walk
 
 Cells2 = tuple[tuple[str, str], tuple[str, str]]
 
@@ -140,79 +140,59 @@ class _TsEngine:
     """
 
     def __init__(self, ts: TileSystem):
-        src_id: dict[str, int] = {}
-        for a in ts.local.alphabet:
-            src_id.setdefault(a, len(src_id))
-        self.border_id = len(src_id)
+        src_id = {a: i for i, a in enumerate(dict.fromkeys(ts.local.alphabet))}
+        border_id = len(src_id)
         self.allowed: dict[tuple[int, int, int], set[int]] = {}
         for t in ts.local.delta:
-            code = tuple(src_id[c] if c != BORDER else self.border_id
+            code = tuple(src_id[c] if c != BORDER else border_id
                          for c in (t.nw, t.ne, t.sw, t.se))
             self.allowed.setdefault(code[:3], set()).add(code[3])
         self.pre: dict[str, tuple[int, ...]] = {}
         for source, out in ts.mapping:
-            self.pre.setdefault(out, ())
-            self.pre[out] += (src_id[source],)
-        self.target = tuple(ts.target)
+            self.pre[out] = self.pre.get(out, ()) + (src_id[source],)
+        # a choice: (target letter or None on the frame, preimage options,
+        # whether the cell completes a window: not in top row or left column)
+        self.letters = tuple((name, self.pre.get(name, ()), True) for name in ts.target)
+        self.opens = ((None, (border_id,), False),)
+        self.closes = ((None, (border_id,), True),)
 
-    def _options(self, w: Grid, R: int, C: int, m: int, q: int) -> tuple[int, ...]:
-        if R in (0, m + 1) or C in (0, q + 1):
-            return (self.border_id,)
-        return self.pre.get(w.cells[R - 1][C - 1], ())
+    def iter_size(self, m: int, q: int, cells: Cells | None = None) -> Iterator[Grid]:
+        """Grids of the target language, row-major lexicographic order.
 
-    def _step(self, fronts, options, L: int, check: bool):
-        nxt = set()
-        for f in fronts:
-            if check:
-                ok = self.allowed.get((f[0], f[1], f[-1]))
-                if not ok:
-                    continue
-                opts = [v for v in options if v in ok]
-            else:
-                opts = options
-            for v in opts:
-                nf = f + (v,)
-                if len(nf) > L:
-                    nf = nf[1:]
-                nxt.add(nf)
-        return nxt
-
-    def accepts(self, w: Grid) -> bool:
-        m, q = w.rows, w.cols
+        With ``cells`` (an m x q array of target letters) given, only
+        that grid is tried, so it is yielded exactly when recognized.
+        """
         L = q + 3
-        fronts = {()}
-        for R in range(m + 2):
-            for C in range(q + 2):
-                options = self._options(w, R, C, m, q)
-                fronts = self._step(fronts, options, L, R >= 1 and C >= 1)
-                if not fronts:
-                    return False
-        return True
+        allowed = self.allowed
+        opens, closes = self.opens, self.closes
+        choices = [opens] * (q + 2)
+        for r in range(m):
+            row = ([self.letters] * q if cells is None
+                   else [((a, self.pre.get(a, ()), True),) for a in cells[r]])
+            choices += [opens, *row, closes]
+        choices += [opens] + [closes] * (q + 1)
 
-    def iter_size(self, m: int, q: int) -> Iterator[Grid]:
-        """Grids of the target language, row-major lexicographic order."""
-        L = q + 3
-        chosen: list[str] = []
+        def step(_p: int, fronts, choice):
+            _name, options, check = choice
+            nxt = set()
+            for f in fronts:
+                if check:
+                    ok = allowed.get((f[0], f[1], f[-1]))
+                    if not ok:
+                        continue
+                    opts = [v for v in options if v in ok]
+                else:
+                    opts = options
+                for v in opts:
+                    nf = f + (v,)
+                    if len(nf) > L:
+                        nf = nf[1:]
+                    nxt.add(nf)
+            return nxt
 
-        def rec(pos: int, fronts) -> Iterator[Grid]:
-            if pos == (m + 2) * (q + 2):
-                yield grid(chosen[r * q:(r + 1) * q] for r in range(m))
-                return
-            R, C = divmod(pos, q + 2)
-            check = R >= 1 and C >= 1
-            if R in (0, m + 1) or C in (0, q + 1):
-                nxt = self._step(fronts, (self.border_id,), L, check)
-                if nxt:
-                    yield from rec(pos + 1, nxt)
-                return
-            for name in self.target:
-                nxt = self._step(fronts, self.pre.get(name, ()), L, check)
-                if nxt:
-                    chosen.append(name)
-                    yield from rec(pos + 1, nxt)
-                    chosen.pop()
-
-        yield from rec(0, {()})
+        for chosen, _states in walk({()}, choices, step):
+            names = [name for name, _, _ in chosen if name is not None]
+            yield grid(names[r * q:(r + 1) * q] for r in range(m))
 
 
 def ts_recognize(ts: TileSystem, w: Grid) -> bool:
@@ -227,19 +207,14 @@ def ts_recognize(ts: TileSystem, w: Grid) -> bool:
         for cell in row:
             if cell not in targets:
                 raise UnknownLetter(f"letter {cell!r} is not in the target alphabet")
-    return _TsEngine(ts).accepts(w)
+    return next(_TsEngine(ts).iter_size(w.rows, w.cols, w.cells), None) is not None
 
 
 def ts_language(ts: TileSystem, max_rows: int, max_cols: int) -> list[Grid]:
     """All recognized grids within bounds, in canonical order
     (area, then rows, then row-major letter order)."""
     eng = _TsEngine(ts)
-    sizes = [(m, q) for m in range(1, max_rows + 1) for q in range(1, max_cols + 1)]
-    sizes.sort(key=lambda mq: (mq[0] * mq[1], mq[0]))
-    out: list[Grid] = []
-    for m, q in sizes:
-        out.extend(eng.iter_size(m, q))
-    return out
+    return [w for m, q in sizes(max_rows, max_cols) for w in eng.iter_size(m, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +229,7 @@ def fis_to_tiles(f: FIS) -> TileSystem:
     tiles carry the initial and final conditions, interior tiles the
     state and class stitching.
     """
-    eng = _Engine(f)  # reuses the deduplication and declaration order
-    ts_list = eng.t_names
+    ts_list = live_transitions(f)
     tokens = [f"({t.north},{t.west},{t.letter},{t.east},{t.south})" for t in ts_list]
     mapping = tuple((tok, t.letter) for tok, t in zip(tokens, ts_list))
 

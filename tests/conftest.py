@@ -27,6 +27,20 @@ def make_f1() -> FIS:
     )
 
 
+def make_trivial() -> FIS:
+    """One letter, one state and one class: every grid is accepted."""
+    return FIS(
+        alphabet=("a",),
+        states=("s",),
+        classes=("C",),
+        transitions=(Transition("s", "C", "a", "C", "s"),),
+        initial_states=("s",),
+        initial_classes=("C",),
+        final_states=("s",),
+        final_classes=("C",),
+    )
+
+
 @pytest.fixture
 def f1() -> FIS:
     return make_f1()

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.  Each
 criterion computes a textual fingerprint of everything it produced; the
-last test reruns all of them and requires byte-identical fingerprints.
+last test reruns all of them and requires byte-identical fingerprints
+whose SHA-256 digests equal the pinned ones below.
 """
 
 from __future__ import annotations
@@ -40,6 +41,19 @@ P_TWO = PcpInstance(x=("ab", "b"), y=("a", "bb"))
 P_NEG = PcpInstance(x=("ab",), y=("ba",))
 
 RESULTS: dict[int, str] = {}
+
+# SHA-256 of each criterion's fingerprint (UTF-8).  Any change to a
+# verdict, a scenario or an output byte of criteria 1-8 changes one.
+FINGERPRINT_SHA256 = {
+    1: "a941ad3f645bf07fca2751f26aa6119391d2e89d9569391c03645e27a87b7505",
+    2: "8d6281cac3cf0db59bb3ce64bef166eae358c2a23a1a770dd6bafd489394a50e",
+    3: "9e0e65d0ad4cb48c8011978001ada3c1c838a049ea8c526a5966a34dcefe7a51",
+    4: "25848c9785b12dfc098f2b07e6b37e5d9cd32696061917743c41d4be398bb8dd",
+    5: "e3c0424f29f3b4db42077caebcd34f57093ae6c2b734fd86b4b3e76001ea5943",
+    6: "cd5eb77443c825cf15d912558f6d5a7cc2b53cbf2210d82308cab32b1b058379",
+    7: "3a971e5212bbfc5ab58746965cf1ee072ed8ae99fb6196f908ff65eeb486daf8",
+    8: "3fdb781c31dc2f23ffefaf68d97579afe1d2cde3760d3739a50d30fba8d9e11e",
+}
 
 
 def _run(number: int, label: str, budget: float, fn) -> None:
@@ -234,4 +248,6 @@ def test_criterion_9_determinism():
         "criteria 1-8 must run first"
     for number, label, _, fn in CRITERIA:
         assert fn() == RESULTS[number], f"criterion {number} not deterministic"
-    print("criterion 9 (byte-identical reruns): PASS")
+        digest = hashlib.sha256(RESULTS[number].encode()).hexdigest()
+        assert digest == FINGERPRINT_SHA256[number], f"criterion {number} output changed"
+    print("criterion 9 (byte-identical reruns, pinned digests): PASS")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import diagonal, make_f1
+from conftest import diagonal, make_f1, make_trivial
 from fiskit import cli
 from fiskit.analysis import SearchBounds, bounded_emptiness
 from fiskit.fis import format_fis, parse_fis, recognize, render_scenario
@@ -164,6 +164,34 @@ def test_errors_exit_two(files, capsys):
     assert cli.main([]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_unexpected_exception_exits_two(files, capsys, monkeypatch):
+    p_path = files("unit.pcp", format_pcp(P_UNIT))
+    argv = ["solve-pcp", "--pcp", p_path, "--max-k", "2"]
+
+    def crash(p, max_k):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "solve_pcp", crash)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
+
+    def interrupt(p, max_k):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "solve_pcp", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+
+
+def test_enumerate_deep_grids(files, capsys):
+    path = files("trivial.fis", format_fis(make_trivial()))
+    code, out = run(capsys, "enumerate", "--fis", path,
+                    "--max-rows", "1", "--max-cols", "1100")
+    assert code == 0
+    assert out.count("\n\n") == 1100
+    assert out.endswith(" ".join(["a"] * 1100) + "\n\n")
 
 
 def test_help_exits_zero(capsys):

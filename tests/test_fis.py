@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracles
+from conftest import make_trivial
 from generators import random_fis
 from fiskit.errors import FormatError, UnknownLetter, UnknownTransition
 from fiskit.fis import (
@@ -16,6 +17,7 @@ from fiskit.fis import (
     check_scenario,
     enumerate_language,
     format_fis,
+    iter_accepted,
     parse_fis,
     recognize,
     recognize_with_transition,
@@ -211,3 +213,11 @@ def test_everything_is_deterministic(f1, diag3):
     assert recognize(f1, diag3) == recognize(f1, diag3)
     assert enumerate_language(f1, 3, 3) == enumerate_language(f1, 3, 3)
     assert render_scenario(recognize(f1, diag3)) == render_scenario(recognize(f1, diag3))
+
+
+def test_iter_accepted_depth_is_not_limited_by_recursion():
+    # one walk level per cell: 1x1100 is deeper than the default
+    # recursion limit
+    got = list(iter_accepted(make_trivial(), 1, 1100))
+    assert len(got) == 1100
+    assert got[-1] == grid([["a"] * 1100])

@@ -1,0 +1,77 @@
+"""Modules of the package use only each other's public names."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fiskit
+
+SRC = Path(fiskit.__file__).parent
+MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _dotted(node: ast.expr) -> str | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def private_uses(source: str) -> list[str]:
+    """Private names of other fiskit modules that ``source`` imports or
+    reads as module attributes."""
+    tree = ast.parse(source)
+    modules: set[str] = set()  # names bound to fiskit modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "fiskit":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "fiskit":
+                continue
+            package = node.module in (None, "fiskit")
+            for alias in node.names:
+                if package and alias.name in MODULES:
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) \
+                and _dotted(node.value) in modules:
+            found.append(f"line {node.lineno}: uses {_dotted(node)}")
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_private_names_across_modules(name):
+    assert private_uses((SRC / f"{name}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .fis import FIS, _Engine\n",
+    "from fiskit.fis import _Engine\n",
+    "from . import grids\nx = grids._hidden\n",
+    "import fiskit.grids as g\nx = g._hidden\n",
+    "import fiskit.grids\nx = fiskit.grids._hidden\n",
+])
+def test_guard_catches_private_uses(source):
+    assert len(private_uses(source)) == 1
+
+
+def test_guard_allows_public_and_own_names():
+    source = ("from __future__ import annotations\nfrom . import grids\n"
+              "from .fis import FIS\nx = grids.grid\ny = grids.__name__\n"
+              "class A:\n    def f(self):\n        return self._x\n")
+    assert private_uses(source) == []

@@ -11,17 +11,21 @@ from fiskit.errors import (
     InvalidSolution,
     ReservedSymbolCollision,
 )
-from fiskit.fis import recognize, recognize_with_transition, validate
+from fiskit.fis import Transition, recognize, recognize_with_transition, validate
 from fiskit.grids import grid, h_iterate, v_compose
 from fiskit.pcp import (
     MARKER,
     PcpInstance,
     TransKind,
+    a_state,
+    c_state,
     check_solution,
     classify_transition,
     compile_pcp,
     compile_pcp_probe,
     format_pcp,
+    m_class,
+    parse_name,
     parse_pcp,
     probe_transition,
     probe_witness,
@@ -136,6 +140,18 @@ def test_every_compiled_transition_classifies():
     for p, _ in SOLVABLE:
         for t in compile_pcp(p).transitions:
             classify_transition(t)
+
+
+def test_name_codec_round_trips_and_is_strict():
+    assert parse_name(a_state(3, 12), "a") == (3, 12)
+    assert parse_name(c_state(0, 0), "c") == (0, 0)
+    assert parse_name(m_class(1, 0, 2), "M") == (1, 0, 2)
+    for name, kind in (("c(1,2)", "a"), ("c(1,2,3)", "c"), ("M(1,2)", "M"),
+                       ("xc(1,2)", "c"), ("c(1,2)x", "c"), ("c(-1,2)", "c"),
+                       ("c(1, 2)", "c"), ("c(,)", "c")):
+        assert parse_name(name, kind) is None, name
+    with pytest.raises(ValueError):
+        classify_transition(Transition("c(1,2,3)", "A", MARKER, "A", "c(0,0)"))
 
 
 def test_probe_extension_counts():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_f1
+from conftest import make_f1, make_trivial
 from generators import random_fis, random_tile_system
 from fiskit.errors import FormatError, InvalidLetter, UnknownLetter
 from fiskit.fis import enumerate_language, recognize
@@ -201,3 +201,17 @@ def test_parse_rejects_malformed():
     # projection not total on the alphabet
     with pytest.raises(FormatError):
         parse_tiles("alphabet: v\ntarget: x\ntile: # # / # v\n")
+
+
+def test_ts_language_depth_is_not_limited_by_recursion():
+    # the bordered 1x700 grid has 2106 cells, one walk level each
+    got = ts_language(fis_to_tiles(make_trivial()), 1, 700)
+    assert len(got) == 700
+    assert got[-1] == grid([["a"] * 700])
+
+
+def test_ts_recognize_deep_grid():
+    ts = fis_to_tiles(make_trivial())
+    assert ts_recognize(ts, grid([["a"] * 700]))
+    # rejected only at the south frame, after the walk crossed every cell
+    assert not ts_recognize(fis_to_tiles(make_f1()), grid([["a"] + ["b"] * 699]))
