@@ -77,6 +77,7 @@ from .tiles import (
     format_tiles,
     local_member,
     parse_tiles,
+    quote,
     tile,
     tiles_to_fis,
     ts_language,

@@ -251,10 +251,9 @@ def structural_check(p: PcpInstance, sc: Scenario) -> StructuralReport:
         pairs = [parse_name(s, "c") for s in _row_souths(sc, 2)]
         if None in pairs:
             t = pairs.index(None)
-            seconds, y_err = None, f"column {t + 1}: not a pair state"
+            y_err = f"column {t + 1}: not a pair state"
         else:
-            seconds = [b for _, b in pairs]
-            ys, y_err = _y_chunks(p, seconds, cells[1])
+            ys, y_err = _y_chunks(p, [b for _, b in pairs], cells[1])
         spell_fails = []
         if cells[0] != cells[1]:
             t = next(i for i in range(q) if cells[0][i] != cells[1][i])
@@ -266,21 +265,6 @@ def structural_check(p: PcpInstance, sc: Scenario) -> StructuralReport:
         spelling = CheckResult(not spell_fails, "; ".join(spell_fails))
     else:
         spelling = CheckResult(False, "fewer than two rows")
-
-    if xs is not None and ys is not None:
-        firsts = [a for a, _ in pairs]
-        want_first = [i for i in xs for _ in p.x[i - 1]]
-        want_second = [j for j in ys for _ in p.y[j - 1]]
-        if firsts != want_first:
-            index_streams = CheckResult(
-                False, f"first stream {firsts} differs from {want_first}")
-        elif seconds != want_second:
-            index_streams = CheckResult(
-                False, f"second stream {seconds} differs from {want_second}")
-        else:
-            index_streams = CheckResult(True, "")
-    else:
-        index_streams = CheckResult(False, "word factorization not derivable")
 
     marker_fails = []
     for r in range(3, m + 1):
@@ -295,10 +279,11 @@ def structural_check(p: PcpInstance, sc: Scenario) -> StructuralReport:
     marker_rows = CheckResult(not marker_fails, "; ".join(marker_fails[:3]))
 
     if xs is None or ys is None:
-        carry_streams = CheckResult(False, "word factorization not derivable")
-        tail_rows = CheckResult(False, "word factorization not derivable")
-        east_border = CheckResult(False, "word factorization not derivable")
+        index_streams = carry_streams = tail_rows = east_border = CheckResult(
+            False, "word factorization not derivable")
     else:
+        why = _stream_mismatch(p, pairs, xs, ys, 0)
+        index_streams = CheckResult(not why, why)
         carry_streams = _carry_streams(p, sc, xs, ys)
         k = len(xs)
         tail_fails = []
@@ -342,19 +327,27 @@ def _carry_streams(p: PcpInstance, sc: Scenario,
             t = pairs.index(None)
             return CheckResult(False, f"row {step + 2} column {t + 1}: "
                                       f"{souths[t]!r} is not a pair state")
-        alpha = sum(len(p.x[i - 1]) for i in xs[:step])
-        beta = sum(len(p.y[j - 1]) for j in ys[:step])
-        want_first = [0] * alpha + [i for i in xs[step:] for _ in p.x[i - 1]]
-        want_second = [0] * beta + [j for j in ys[step:] for _ in p.y[j - 1]]
-        got_first = [a for a, _ in pairs]
-        got_second = [b for _, b in pairs]
-        if got_first != want_first:
-            return CheckResult(False, f"row {step + 2}: first stream "
-                                      f"{got_first} differs from {want_first}")
-        if got_second != want_second:
-            return CheckResult(False, f"row {step + 2}: second stream "
-                                      f"{got_second} differs from {want_second}")
+        why = _stream_mismatch(p, pairs, xs, ys, step)
+        if why:
+            return CheckResult(False, f"row {step + 2}: {why}")
     return CheckResult(True, f"k={k}")
+
+
+def _stream_mismatch(p: PcpInstance, pairs, xs: list[int], ys: list[int],
+                     step: int) -> str:
+    """Why a row's two index streams, after ``step`` reductions, differ
+    from the word factorization ``xs``/``ys``; ``""`` when they agree."""
+    alpha = sum(len(p.x[i - 1]) for i in xs[:step])
+    beta = sum(len(p.y[j - 1]) for j in ys[:step])
+    want_first = [0] * alpha + [i for i in xs[step:] for _ in p.x[i - 1]]
+    want_second = [0] * beta + [j for j in ys[step:] for _ in p.y[j - 1]]
+    got_first = [a for a, _ in pairs]
+    got_second = [b for _, b in pairs]
+    if got_first != want_first:
+        return f"first stream {got_first} differs from {want_first}"
+    if got_second != want_second:
+        return f"second stream {got_second} differs from {want_second}"
+    return ""
 
 
 def format_structural_report(rep: StructuralReport) -> str:

@@ -63,7 +63,8 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     f = parse_fis(_read(args.fis))
-    for w in iter_accepted(f, args.max_rows, args.max_cols):
+    b = SearchBounds(args.max_rows, args.max_cols)
+    for w in iter_accepted(f, b.max_rows, b.max_cols):
         sys.stdout.write(format_grid(w) + "\n")
     return 0
 

@@ -537,18 +537,15 @@ def first_accepted(f: FIS, max_rows: int, max_cols: int,
     return None
 
 
-def iter_accepted(f: FIS, max_rows: int, max_cols: int,
-                  using: Transition | None = None) -> Iterator[Grid]:
+def iter_accepted(f: FIS, max_rows: int, max_cols: int) -> Iterator[Grid]:
     """Accepted grids within the bounds, in canonical order.
 
     Canonical order is area, then row count, then row-major letter
-    order by alphabet declaration.  With ``using`` set, only grids that
-    admit a scenario firing that transition are yielded.
+    order by alphabet declaration.
     """
     eng = _Engine(f)
-    track = eng.track(using)
     for m, q in grids.sizes(max_rows, max_cols):
-        for g, _layers in eng.iter_size(m, q, track):
+        for g, _layers in eng.iter_size(m, q):
             yield g
 
 

@@ -182,21 +182,21 @@ def compile_pcp(p: PcpInstance) -> FIS:
     states += [a_state(i, j) for i in range(1, n + 1) for j in range(1, len(xs[i - 1]) + 1)]
     states += [c_state(i, j) for i in range(n + 1) for j in range(n + 1)]
 
-    classes = ["A"]
-    classes += [f"B({i},{j})" for i in range(1, n + 1)
-                for j in range(1, len(xs[i - 1]))]
-    classes += [f"C({i},{k})" for i in range(1, n + 1)
-                for k in range(1, len(ys[i - 1]))]
-    classes += [m_class(i, j, k) for i in range(1, n + 1)
-                for j in range(len(xs[i - 1]) + 1)
-                for k in range(len(ys[i - 1]) + 1)]
-
     def b_cls(i: int, j: int) -> str:
         # word-boundary positions collapse to the shared class A
         return "A" if j in (0, len(xs[i - 1])) else f"B({i},{j})"
 
     def c_cls(i: int, k: int) -> str:
         return "A" if k in (0, len(ys[i - 1])) else f"C({i},{k})"
+
+    classes = ["A"]
+    classes += [b_cls(i, j) for i in range(1, n + 1)
+                for j in range(1, len(xs[i - 1]))]
+    classes += [c_cls(i, k) for i in range(1, n + 1)
+                for k in range(1, len(ys[i - 1]))]
+    classes += [m_class(i, j, k) for i in range(1, n + 1)
+                for j in range(len(xs[i - 1]) + 1)
+                for k in range(len(ys[i - 1]) + 1)]
 
     trans: list[Transition] = []
 
@@ -236,47 +236,34 @@ def compile_pcp(p: PcpInstance) -> FIS:
             m_class(i, len(xs[i - 1]), len(ys[i - 1]) - 1), c_state(0, 0)))
 
     # carry a partially consumed pair eastwards; each side either copies
-    # a zero, eats one more occurrence of word i, or skips a zero while
-    # still loaded -- any other stream entry leaves the cell stuck
-    def carry(i: int, j: int, k: int):
-        if k == 0:
-            return j, 0
-        if j == i:
-            return 0, k - 1
-        if j == 0:
-            return 0, k
-        return None
+    # an entry once unloaded, eats one more occurrence of word i, or skips
+    # a zero while still loaded -- any other stream entry leaves the cell
+    # stuck.  A move is (stream entry j, letters left k, entry passed
+    # south, letters left east).
+    def carry_side(i: int, word: str) -> list[tuple[int, int, int, int]]:
+        moves = []
+        for j in range(n + 1):
+            for k in range(len(word) + 1):
+                if k == 0:
+                    moves.append((j, k, j, 0))
+                elif j == i:
+                    moves.append((j, k, 0, k - 1))
+                elif j == 0:
+                    moves.append((j, k, 0, k))
+        return moves
 
     for i in range(1, n + 1):
-        x_side = []
-        for j1 in range(n + 1):
-            for k1 in range(len(xs[i - 1]) + 1):
-                got = carry(i, j1, k1)
-                if got is not None:
-                    x_side.append((j1, k1, *got))
-        y_side = []
-        for j2 in range(n + 1):
-            for k2 in range(len(ys[i - 1]) + 1):
-                got = carry(i, j2, k2)
-                if got is not None:
-                    y_side.append((j2, k2, *got))
-        for (j1, k1, m1, r1), (j2, k2, m2, r2) in itertools.product(x_side, y_side):
+        for (j1, k1, m1, r1), (j2, k2, m2, r2) in itertools.product(
+                carry_side(i, xs[i - 1]), carry_side(i, ys[i - 1])):
             trans.append(Transition(
                 c_state(j1, j2), m_class(i, k1, k2), MARKER, m_class(i, r1, r2),
                 c_state(m1, m2)))
-
-    deduped: list[Transition] = []
-    seen: set[Transition] = set()
-    for t in trans:
-        if t not in seen:
-            seen.add(t)
-            deduped.append(t)
 
     return FIS(
         alphabet=p.alphabet + (MARKER,),
         states=tuple(states),
         classes=tuple(classes),
-        transitions=tuple(deduped),
+        transitions=tuple(dict.fromkeys(trans)),
         initial_states=("s",),
         initial_classes=("A",),
         final_states=(c_state(0, 0),),

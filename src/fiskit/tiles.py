@@ -53,8 +53,16 @@ class Tile:
         return self.cells[1][1]
 
     def token(self) -> str:
-        """A whitespace-free name usable as a state or class."""
-        return f"[{self.nw},{self.ne}/{self.sw},{self.se}]"
+        """A whitespace-free name usable as a state or class, distinct
+        for distinct tiles."""
+        nw, ne, sw, se = map(quote, (self.nw, self.ne, self.sw, self.se))
+        return f"[{nw},{ne}/{sw},{se}]"
+
+
+def quote(name: str) -> str:
+    """``name`` with ``\\``, ``,`` and ``/`` escaped by a backslash, so a
+    token joined from quoted names by ``,`` and ``/`` names one tuple."""
+    return name.replace("\\", "\\\\").replace(",", "\\,").replace("/", "\\/")
 
 
 def tile(nw: str, ne: str, sw: str, se: str) -> Tile:
@@ -70,14 +78,10 @@ class LocalLanguage:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        deduped: list[Tile] = []
-        seen: set[Tile] = set()
-        for t in self.delta:
-            t = t if isinstance(t, Tile) else Tile(t)
-            if t not in seen:
-                seen.add(t)
-                deduped.append(t)
-        object.__setattr__(self, "delta", tuple(deduped))
+        for a in self.alphabet:  # a local letter "#" would pass for the frame
+            check_letter(a)
+        object.__setattr__(self, "delta", tuple(dict.fromkeys(
+            t if isinstance(t, Tile) else Tile(t) for t in self.delta)))
         ok = set(self.alphabet) | {BORDER}
         for t in self.delta:
             for row in t.cells:
@@ -140,21 +144,17 @@ class _TsEngine:
     """
 
     def __init__(self, ts: TileSystem):
-        src_id = {a: i for i, a in enumerate(dict.fromkeys(ts.local.alphabet))}
-        border_id = len(src_id)
-        self.allowed: dict[tuple[int, int, int], set[int]] = {}
+        self.allowed: dict[tuple[str, str, str], set[str]] = {}
         for t in ts.local.delta:
-            code = tuple(src_id[c] if c != BORDER else border_id
-                         for c in (t.nw, t.ne, t.sw, t.se))
-            self.allowed.setdefault(code[:3], set()).add(code[3])
-        self.pre: dict[str, tuple[int, ...]] = {}
+            self.allowed.setdefault((t.nw, t.ne, t.sw), set()).add(t.se)
+        self.pre: dict[str, tuple[str, ...]] = {}
         for source, out in ts.mapping:
-            self.pre[out] = self.pre.get(out, ()) + (src_id[source],)
+            self.pre[out] = self.pre.get(out, ()) + (source,)
         # a choice: (target letter or None on the frame, preimage options,
         # whether the cell completes a window: not in top row or left column)
         self.letters = tuple((name, self.pre.get(name, ()), True) for name in ts.target)
-        self.opens = ((None, (border_id,), False),)
-        self.closes = ((None, (border_id,), True),)
+        self.opens = ((None, (BORDER,), False),)
+        self.closes = ((None, (BORDER,), True),)
 
     def iter_size(self, m: int, q: int, cells: Cells | None = None) -> Iterator[Grid]:
         """Grids of the target language, row-major lexicographic order.
@@ -230,7 +230,7 @@ def fis_to_tiles(f: FIS) -> TileSystem:
     state and class stitching.
     """
     ts_list = live_transitions(f)
-    tokens = [f"({t.north},{t.west},{t.letter},{t.east},{t.south})" for t in ts_list]
+    tokens = ["(" + ",".join(map(quote, t)) + ")" for t in ts_list]
     mapping = tuple((tok, t.letter) for tok, t in zip(tokens, ts_list))
 
     ini_s = set(f.initial_states)

@@ -9,10 +9,13 @@ from fiskit.grids import BORDER, border, grid, subgrids
 from fiskit.tiles import LocalLanguage, Tile, TileSystem
 
 
-def random_fis(rng: random.Random) -> FIS:
-    states = ("1", "2", "3")[: rng.randint(1, 3)]
-    classes = ("A", "B", "C")[: rng.randint(1, 3)]
-    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+def random_fis(rng: random.Random, states=("1", "2", "3"), classes=("A", "B", "C"),
+               alphabet=("a", "b", "c")) -> FIS:
+    """A small random system drawing names from the given pools; with
+    three-name pools the ``rng`` calls do not depend on the names."""
+    states = states[: rng.randint(1, len(states))]
+    classes = classes[: rng.randint(1, len(classes))]
+    alphabet = alphabet[: rng.randint(1, len(alphabet))]
     seen, trans = set(), []
     for _ in range(rng.randint(0, 8)):
         t = Transition(rng.choice(states), rng.choice(classes),
@@ -31,15 +34,17 @@ def random_fis(rng: random.Random) -> FIS:
     )
 
 
-def random_tile_system(rng: random.Random) -> TileSystem:
+def random_tile_system(rng: random.Random, sources=("p", "q", "r"),
+                       target=("x", "y")) -> TileSystem:
     """Window sets seeded from a few random grids, then perturbed.
 
     Purely random tile sets are almost always empty languages, so the
     tiles come from actual bordered windows; dropping and adding a few
-    keeps rejection paths exercised.
+    keeps rejection paths exercised.  Local letters come from
+    ``sources`` and target letters from ``target``.
     """
-    sources = ("p", "q", "r")[: rng.randint(1, 3)]
-    target = ("x", "y")[: rng.randint(1, 2)]
+    sources = sources[: rng.randint(1, len(sources))]
+    target = target[: rng.randint(1, len(target))]
     mapping = tuple((s, rng.choice(target)) for s in sources)
 
     tiles: list[Tile] = []

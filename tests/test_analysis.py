@@ -13,6 +13,7 @@ from fiskit.analysis import (
     format_finiteness_report,
     format_structural_report,
     structural_check,
+    _carry_streams,
     _x_blocks,
     _y_chunks,
 )
@@ -209,6 +210,13 @@ def test_word_factorization_failure_positions():
     assert ys is None and "column 3" in err and "letters" in err
     ys, err = _y_chunks(P_TWO, (2,), ("b",))
     assert ys is None and "truncated" in err
+
+
+def test_carry_stream_failure_texts():
+    sc = recognize(compile_pcp(P_TWO), witness_from_solution(P_TWO, (1, 2)))
+    assert _carry_streams(P_TWO, sc, [2, 1], [2, 1]) == CheckResult(
+        False, "row 2: first stream [1, 1, 2] differs from [2, 1, 1]")
+    assert _carry_streams(P_TWO, sc, [1, 2], [1, 2]) == CheckResult(True, "k=2")
 
 
 def test_check_result_defaults():

@@ -66,6 +66,16 @@ def test_enumerate_prints_canonical_order(files, capsys):
     assert text == want
 
 
+@pytest.mark.parametrize("rows", ["0", "-2"])
+def test_enumerate_rejects_empty_bounds(files, capsys, rows):
+    f1_path = files("f1.fis", format_fis(make_f1()))
+    code = cli.main(["enumerate", "--fis", f1_path,
+                     "--max-rows", rows, "--max-cols", "3"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: bounds must be at least 1x1\n")
+
+
 def test_compile_pcp_both_flavors(files, capsys, tmp_path):
     pcp_path = files("p.pcp", format_pcp(P_TWO))
     out = tmp_path / "s.fis"

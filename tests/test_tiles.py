@@ -12,7 +12,7 @@ import oracles
 from conftest import make_f1, make_trivial
 from generators import random_fis, random_tile_system
 from fiskit.errors import FormatError, InvalidLetter, UnknownLetter
-from fiskit.fis import enumerate_language, recognize
+from fiskit.fis import FIS, Transition, enumerate_language, recognize
 from fiskit.grids import BORDER, grid
 from fiskit.tiles import (
     LocalLanguage,
@@ -22,6 +22,7 @@ from fiskit.tiles import (
     format_tiles,
     local_member,
     parse_tiles,
+    quote,
     tile,
     tiles_to_fis,
     ts_language,
@@ -52,12 +53,27 @@ def test_tile_shape_and_token():
         tile("a", "b c", "d", "e")
 
 
+def test_quote_escapes_the_token_separators():
+    assert quote("a") == "a"
+    assert quote("a,b/c\\d") == "a\\,b\\/c\\\\d"
+    # the escape itself is escaped, so "a\\" + "," differs from "a" + "\\,"
+    assert tile("a\\", "b", "c", "d").token() != tile("a", "\\b", "c", "d").token()
+
+
+def test_tile_tokens_are_injective():
+    assert tile("a,b", "c", "d", "e").token() != tile("a", "b,c", "d", "e").token()
+    assert tile("a", "b/c", "d", "e").token() != tile("a", "b", "c/d", "e").token()
+
+
 def test_local_language_dedups_and_checks_letters():
     t = tile(B, B, B, "v")
     ll = LocalLanguage(alphabet=("v",), delta=(t, t))
     assert ll.delta == (t,)
     with pytest.raises(ValueError):
         LocalLanguage(alphabet=("v",), delta=(tile(B, B, B, "w"),))
+    # a local letter spelled like the border would stand in for the frame
+    with pytest.raises(InvalidLetter):
+        LocalLanguage(alphabet=(B,), delta=(tile(B, B, B, B),))
 
 
 def test_tile_system_requires_total_projection():
@@ -164,6 +180,44 @@ def test_tiles_to_fis_matches_oracle_on_random_systems():
                 ts.local.alphabet, dict(ts.mapping), delta, g)
             assert ts_recognize(ts, g) == want
             assert (recognize(f, g) is not None) == want
+
+
+def test_fis_to_tiles_names_transitions_apart():
+    # without quoting both transitions are the local letter (1,A,a,B,E,s)
+    f = FIS(alphabet=("a,B", "B"), states=("1", "s"), classes=("A", "A,a", "E"),
+            transitions=(Transition("1", "A", "a,B", "E", "s"),
+                         Transition("1", "A,a", "B", "E", "s")),
+            initial_states=("1",), initial_classes=("A",),
+            final_states=("s",), final_classes=("E",))
+    ts = fis_to_tiles(f)
+    assert ts.local.alphabet == ("(1,A,a\\,B,E,s)", "(1,A\\,a,B,E,s)")
+    assert recognize(f, grid([["B"]])) is None
+    assert not ts_recognize(ts, grid([["B"]]))
+    assert ts_recognize(ts, grid([["a,B"]]))
+
+
+def test_fis_to_tiles_matches_oracle_with_punctuated_names():
+    rng = random.Random(1)
+    for i in range(200):
+        f = random_fis(rng, states=("x", "x,y", "y"), classes=("x", "y,x", "y"),
+                       alphabet=("x", "x,y", "y,x"))
+        ts = fis_to_tiles(f)
+        assert len(set(ts.local.alphabet)) == len(ts.local.alphabet), i
+        for g in oracles.all_grids(f.alphabet, 2, 2):
+            assert ts_recognize(ts, g) == oracles.accepts(f, g), (i, g.cells)
+
+
+def test_tiles_to_fis_matches_oracle_with_punctuated_letters():
+    rng = random.Random(1)
+    for i in range(200):
+        ts = random_tile_system(rng, sources=("p", "p,p", "p/p"))
+        f = tiles_to_fis(ts)
+        assert len(set(f.states)) == len(ts.local.delta), i
+        delta = {t.cells for t in ts.local.delta}
+        for g in oracles.all_grids(ts.target, 2, 2):
+            want = oracles.ts_accepts_by_preimages(
+                ts.local.alphabet, dict(ts.mapping), delta, g)
+            assert (recognize(f, g) is not None) == want, (i, g.cells)
 
 
 def test_ts_language_matches_tiles_to_fis_enumeration():
