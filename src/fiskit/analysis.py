@@ -220,14 +220,18 @@ def _y_chunks(p: PcpInstance, seconds, letters) -> tuple[list[int] | None, str]:
     return ys, ""
 
 
-def structural_check(p: PcpInstance, sc: Scenario) -> StructuralReport:
+def structural_check(p: PcpInstance, sc: Scenario,
+                     compiled: FIS | None = None) -> StructuralReport:
     """Verify, claim by claim, that an accepting scenario of the
     compiled system for ``p`` has the reduction shape.
 
     Raises :class:`NotReductionScenario` unless ``sc`` replays as an
-    accepting scenario of ``compile_pcp(p)``.
+    accepting scenario of ``compile_pcp(p)``; a caller that already
+    holds that system passes it as ``compiled``.
     """
-    problems = check_scenario(compile_pcp(p), sc)
+    if compiled is None:
+        compiled = compile_pcp(p)
+    problems = check_scenario(compiled, sc)
     if problems:
         raise NotReductionScenario("; ".join(problems[:3]))
 

@@ -135,11 +135,12 @@ def _cmd_convert(args) -> int:
 def _cmd_check_structure(args) -> int:
     p = parse_pcp(_read(args.pcp))
     g = parse_grid(_read(args.grid))
-    sc = recognize(compile_pcp(p), g)
+    f = compile_pcp(p)
+    sc = recognize(f, g)
     if sc is None:
         print("REJECT")
         return 1
-    rep = structural_check(p, sc)
+    rep = structural_check(p, sc, compiled=f)
     sys.stdout.write(format_structural_report(rep))
     return 0 if rep.ok else 1
 

@@ -13,17 +13,21 @@ transition such that the top border uses initial states, the left
 border initial classes, and the bottom and right borders are final.
 
 Recognition propagates sets of frontiers cell by cell in row-major
-order; a frontier remembers the south states already emitted in the
-current row, the pending north states for the rest of the row, and the
-class crossing the current cell border.  Border nondeterminism is
-resolved lazily: a first-row cell draws its north state from the
-initial states and a first-column cell draws its west class from the
-initial classes when the cell is parsed.
+order.  A frontier is one int: one field per column holds the south
+state already emitted left of the cursor or the pending north state
+from the cursor on, low bits hold the class crossing the current cell
+border and whether a tracked transition fired, so a step rewrites two
+fields.  Border nondeterminism is resolved lazily: a first-row cell
+draws its north state from the initial states and a first-column cell
+draws its west class from the initial classes when the cell is parsed.
 
-Each layer of frontiers maps a frontier to the first (canonical)
-back-pointer that produced it, so a search that finds a grid also holds
-its canonical scenario and returns it without recognizing the grid
-again.
+The bounded searches choose letters inside the propagation.  The set
+of frontiers after a prefix depends only on the set before its last
+letter, so the letter walk memoizes each step per distinct set, an
+on-the-fly subset construction, and keeps no back-pointers.  A grid it
+finds is recognized once more by a fixed-letter pass whose layers map
+each frontier to its first (canonical) back-pointer; that pass gives
+the canonical scenario, the same as :func:`recognize`.
 """
 
 from __future__ import annotations
@@ -315,25 +319,33 @@ def format_fis(f: FIS) -> str:
 # ---------------------------------------------------------------------------
 # the frontier engine
 
-_START = (None, (), None, False)
+_START = 0  # before the first cell: no field drawn, no class, not used
 
 
 class _Engine:
     """A system compiled to integer tables for frontier propagation.
 
-    A frontier is ``(pending, souths, east, used)``:
+    A frontier is one int:
 
-    * ``pending`` -- remaining north states of the current row (the
-      previous row's south states), or ``None`` in the first row where
-      every cell may draw any initial state;
-    * ``souths`` -- south states emitted so far in the current row;
-    * ``east`` -- class entering the next cell, ``None`` at column 0;
-    * ``used`` -- whether the tracked transition fired on this path.
+    * bit 0 -- whether the tracked transition fired on this path; it is
+      never set when no transition is tracked;
+    * the next bits -- the class entering the next cell, + 1, or 0 at
+      column 0 where any initial class may enter;
+    * above them one ``field_bits``-wide field per column, the row
+      profile: left of the cursor the south state the current row
+      emitted there, from the cursor on the pending north state (the
+      previous row's south), each + 1; a first-row north not drawn yet
+      is 0, and the cell draws it from the initial states.
 
-    At the last column of a row, frontiers whose east class is not
-    final are dropped (the full east border must be final) and the
-    frontier rolls over to ``(souths, (), None, used)``.  After the
-    last cell a frontier accepts when every pending state is final.
+    A step rewrites the cursor's field and the east class.  At the last
+    column of a row, successors whose east class is not final are
+    dropped (the full east border must be final) and the east class is
+    cleared, so the row's souths become the next row's norths in place.
+    After the last cell a frontier accepts when every field holds a
+    final state.
+
+    One engine serves one search: it caches the moves of each kind of
+    frontier and the forward layers of each width.
     """
 
     def __init__(self, f: FIS):
@@ -347,18 +359,23 @@ class _Engine:
         self.t_index = {t: i for i, t in enumerate(self.t_names)}
         self.t_east = [self.class_id[t.east] for t in self.t_names]
         self.t_south = [self.state_id[t.south] for t in self.t_names]
+        self.t_letter = [self.letter_id[t.letter] for t in self.t_names]
         self.by_nw: dict[tuple[int, int], list[int]] = {}
-        self.by_nwl: dict[tuple[int, int, int], list[int]] = {}
         for ti, t in enumerate(self.t_names):
-            n, w = self.state_id[t.north], self.class_id[t.west]
-            self.by_nw.setdefault((n, w), []).append(ti)
-            self.by_nwl.setdefault((n, w, self.letter_id[t.letter]), []).append(ti)
+            self.by_nw.setdefault((self.state_id[t.north], self.class_id[t.west]), []).append(ti)
 
         sid, cid = self.state_id, self.class_id
         self.init_states = tuple(dict.fromkeys(sid[s] for s in f.initial_states if s in sid))
         self.init_classes = tuple(dict.fromkeys(cid[c] for c in f.initial_classes if c in cid))
-        self.fin_states = frozenset(sid[s] for s in f.final_states if s in sid)
+        self.fin_fields = frozenset(sid[s] + 1 for s in f.final_states if s in sid)
         self.fin_classes = frozenset(cid[c] for c in f.final_classes if c in cid)
+
+        self.field_bits = max(1, len(self.state_names).bit_length())
+        east_bits = max(1, len(self.class_names).bit_length())
+        self.east_mask = ((1 << east_bits) - 1) << 1
+        self.shift0 = 1 + east_bits
+        self.moves: dict[tuple[bool, int, int], dict] = {}
+        self.forward: dict[tuple[int, int | None], list[set[int]]] = {}
 
     def track(self, t: Transition | None) -> int | None:
         """The index of a transition to track, ``None`` for none."""
@@ -369,120 +386,162 @@ class _Engine:
             raise UnknownTransition(f"transition {t} is not declared")
         return self.t_index[t]
 
-    def _succ(self, f, j: int, q: int, letter, track):
-        """Successor frontiers of ``f`` at column ``j``, canonical order."""
-        pending, souths, east, used = f
-        norths = self.init_states if pending is None else (pending[0],)
-        wests = self.init_classes if east is None else (east,)
-        last = j == q - 1
-        out = []
-        for n in norths:
-            for w in wests:
-                if letter is None:
-                    tis = self.by_nw.get((n, w), ())
-                else:
-                    tis = self.by_nwl.get((n, w, letter), ())
-                for ti in tis:
-                    e = self.t_east[ti]
-                    if last and e not in self.fin_classes:
-                        continue
-                    u = used or ti == track
-                    s2 = souths + (self.t_south[ti],)
-                    if last:
-                        nf = (s2, (), None, u)
+    def _moves(self, key: tuple[bool, int, int]) -> dict[int | None, list[tuple]]:
+        """The moves of one kind of frontier by letter, in canonical order.
+
+        ``key`` is ``(last, field, east)``: whether the cursor is in the
+        last column, its field and the east class as stored.  Each move
+        is ``(field, east, north, west, transition index)``: the new
+        field value and the new east bits in place.  Letter ``None``
+        lists the moves of every letter.
+        """
+        last, field, east = key
+        out: dict[int | None, list] = {None: []}
+        for n in self.init_states if field == 0 else (field - 1,):
+            for w in self.init_classes if east == 0 else (east - 1,):
+                for ti in self.by_nw.get((n, w), ()):
+                    if not last:
+                        move = (self.t_south[ti] + 1, (self.t_east[ti] + 1) << 1, n, w, ti)
+                    elif self.t_east[ti] in self.fin_classes:
+                        move = (self.t_south[ti] + 1, 0, n, w, ti)
                     else:
-                        nf = (None if pending is None else pending[1:], s2, e, u)
-                    out.append((nf, n, w, ti))
+                        continue
+                    out[None].append(move)
+                    out.setdefault(self.t_letter[ti], []).append(move)
+        self.moves[key] = out
         return out
 
-    def _accepts(self, f, track) -> bool:
-        pending, souths, east, used = f
-        return (east is None and souths == () and pending is not None
-                and (track is None or used)
-                and all(s in self.fin_states for s in pending))
+    def _succ(self, fset, j: int, q: int, letter: int | None, track: int | None):
+        """Successors of the frontiers in ``fset`` at column ``j``.
 
-    def _layer(self, fset, j: int, q: int, letter: int, track, keep=None) -> dict:
-        """One cell of a fixed letter, recording back-pointers.
-
-        Maps each successor of the frontiers in ``fset`` (that is in
-        ``keep``, when given) to the first (canonical) ``(previous
-        frontier, north, west, transition index)`` that produced it.
+        Yields ``(successor, frontier, north, west, transition index)``
+        in canonical order: ``fset`` order, then initial states, initial
+        classes and transitions in declaration order.
         """
-        nxt: dict = {}
+        shift = self.shift0 + j * self.field_bits
+        fmask = (1 << self.field_bits) - 1
+        emask = self.east_mask
+        clear = ~(fmask << shift | emask)
+        last = j == q - 1
+        cache = self.moves
         for f in fset:
-            for nf, n, w, ti in self._succ(f, j, q, letter, track):
-                if nf not in nxt and (keep is None or nf in keep):
-                    nxt[nf] = (f, n, w, ti)
-        return nxt
+            key = (last, f >> shift & fmask, (f & emask) >> 1)
+            moves = cache.get(key)
+            if moves is None:
+                moves = self._moves(key)
+            rest = f & clear
+            for field, east, n, w, ti in moves.get(letter, ()):
+                yield rest | field << shift | east | (ti == track), f, n, w, ti
 
-    def run_exist(self, m: int, q: int, track=None):
+    def _accepts(self, f: int, q: int, track: int | None) -> bool:
+        """Whether a frontier after a row's last cell is accepting."""
+        if track is not None and not f & 1:
+            return False
+        fmask, width = (1 << self.field_bits) - 1, self.field_bits
+        f >>= self.shift0
+        for _ in range(q):
+            if (f & fmask) not in self.fin_fields:
+                return False
+            f >>= width
+        return True
+
+    def run_exist(self, m: int, q: int, track: int | None = None) -> list[set[int]]:
         """Forward pass with the letter chosen existentially per cell.
 
-        Layers hold no back-pointers: this pass keeps every layer of
-        every letter choice, so they would multiply its memory.
+        The layer after a cell does not depend on the row count, so the
+        pass extends one list per width and tracked transition; the list
+        it returns may hold more than ``m * q + 1`` layers.
         """
-        layers: list[dict] = [{_START: None}]
-        for p in range(m * q):
-            nxt: dict = {}
-            for f in layers[-1]:
-                for nf, _n, _w, _ti in self._succ(f, p % q, q, None, track):
-                    nxt[nf] = None  # a repeated key keeps its first position
-            layers.append(nxt)
+        layers = self.forward.setdefault((q, track), [{_START}])
+        for p in range(len(layers) - 1, m * q):
+            layers.append({nf for nf, _f, _n, _w, _ti
+                           in self._succ(layers[p], p % q, q, None, track)})
         return layers
 
-    def _useful(self, layers, m: int, q: int, track):
+    def _useful(self, layers, m: int, q: int, track: int | None) -> list[set[int]]:
         """Frontiers from which some letter choice still reaches acceptance."""
         n = m * q
-        useful: list[set] = [set() for _ in range(n + 1)]
-        useful[n] = {f for f in layers[n] if self._accepts(f, track)}
+        useful: list[set[int]] = [set() for _ in range(n)]
+        useful.append({f for f in layers[n] if self._accepts(f, q, track)})
         for p in range(n - 1, -1, -1):
-            j = p % q
-            up = useful[p + 1]
-            keep = useful[p]
+            up, keep = useful[p + 1], useful[p]
             for f in layers[p]:
-                for nf, _n, _w, _ti in self._succ(f, j, q, None, track):
+                for nf, _f, _n, _w, _ti in self._succ((f,), p % q, q, None, track):
                     if nf in up:
                         keep.add(f)
                         break
         return useful
 
-    def iter_size(self, m: int, q: int, track=None) -> Iterator[tuple[Grid, list[dict]]]:
-        """Accepted m x q grids in row-major lexicographic letter order,
-        each with its back-pointer layers.
+    def iter_size(self, m: int, q: int, track: int | None = None) -> Iterator[Grid]:
+        """Accepted m x q grids in row-major lexicographic letter order.
 
-        Letters are chosen inside the propagation: the letter walk
-        extends the frontier layer one letter at a time and only
-        descends while some frontier can still reach acceptance, so
-        each walked prefix is live and no grid is tested wholesale.
-        A frontier that feeds a useful frontier is itself useful, so
-        pruning keeps every canonical first back-pointer: the layers
-        give the same scenario as :func:`recognize` on the grid.
+        The letter walk carries the set of frontiers after each prefix,
+        cut to frontiers from which some letter choice still reaches
+        acceptance, and descends only while that set is non-empty.  The
+        set after a prefix depends only on the set before its last
+        letter, so each ``(position, set, letter)`` step is computed
+        once per call and then looked up: an on-the-fly subset
+        construction, paid per distinct set and not per prefix.
         """
         n = m * q
         layers = self.run_exist(m, q, track)
-        if not any(self._accepts(f, track) for f in layers[n]):
+        if not any(self._accepts(f, q, track) for f in layers[n]):
             return
         useful = self._useful(layers, m, q, track)
         if _START not in useful[0]:
             return
         names = self.letter_names
+        steps: dict[tuple[int, frozenset[int], int], frozenset[int]] = {}
 
-        def step(p: int, fset, letter: int) -> dict:
-            return self._layer(fset, p % q, q, letter, track, useful[p + 1])
+        def step(p: int, fset: frozenset[int], letter: int) -> frozenset[int]:
+            key = (p, fset, letter)
+            nxt = steps.get(key)
+            if nxt is None:
+                up = useful[p + 1]
+                nxt = steps[key] = frozenset([
+                    nf for nf, _f, _n, _w, _ti
+                    in self._succ(fset, p % q, q, letter, track) if nf in up])
+            return nxt
 
-        for chosen, states in grids.walk({_START: None}, [range(len(names))] * n, step):
-            yield (grids.grid([names[li] for li in chosen[r * q:(r + 1) * q]]
-                              for r in range(m)), list(states))
+        for chosen, _sets in grids.walk(frozenset((_START,)), [range(len(names))] * n, step):
+            yield grids.grid([names[li] for li in chosen[r * q:(r + 1) * q]]
+                             for r in range(m))
 
-    def scenario_from(self, g: Grid, layers, track) -> Scenario | None:
-        """Rebuild the canonical scenario from a back-pointer pass."""
-        m, q = g.rows, g.cols
-        n = m * q
-        f = next((acc for acc in layers[n] if self._accepts(acc, track)), None)
+    def accepted(self, max_rows: int, max_cols: int,
+                 track: int | None = None) -> Iterator[Grid]:
+        """Accepted grids within the bounds, in canonical order; a
+        width's forward layers are dropped after its last size."""
+        order = grids.sizes(max_rows, max_cols)
+        last = {q: k for k, (_m, q) in enumerate(order)}
+        for k, (m, q) in enumerate(order):
+            yield from self.iter_size(m, q, track)
+            if last[q] == k:
+                del self.forward[q, track]
+
+    def scenario(self, g: Grid, track: int | None) -> Scenario | None:
+        """The canonical scenario on ``g``, or ``None``.
+
+        One fixed-letter pass maps each frontier to the first
+        (canonical) ``(previous frontier, north, west, transition
+        index)`` that produced it; the scenario is read back from the
+        first accepting frontier.
+        """
+        ids, m, q = self.letter_id, g.rows, g.cols
+        layers: list[dict] = [{_START: None}]
+        for row in g.cells:
+            for j, a in enumerate(row):
+                if a not in ids:
+                    raise UnknownLetter(f"letter {a!r} is not in the alphabet")
+                nxt: dict = {}
+                for nf, f, n, w, ti in self._succ(layers[-1], j, q, ids[a], track):
+                    if nf not in nxt:
+                        nxt[nf] = (f, n, w, ti)
+                layers.append(nxt)
+        f = next((acc for acc in layers[-1] if self._accepts(acc, q, track)), None)
         if f is None:
             return None
         choices: list[tuple[int, int, int]] = []
-        for p in range(n, 0, -1):
+        for p in range(m * q, 0, -1):
             f, nn, ww, ti = layers[p][f]
             choices.append((nn, ww, ti))
         choices.reverse()
@@ -497,43 +556,35 @@ class _Engine:
         return Scenario(grid=g, cell_runs=cell_runs, b_n=b_n, b_w=b_w, b_s=b_s, b_e=b_e)
 
 
-def _recognize(f: FIS, w: Grid, using: Transition | None) -> Scenario | None:
-    eng = _Engine(f)
-    track = eng.track(using)
-    ids, q = eng.letter_id, w.cols
-    layers: list[dict] = [{_START: None}]
-    for row in w.cells:
-        for j, a in enumerate(row):
-            if a not in ids:
-                raise UnknownLetter(f"letter {a!r} is not in the alphabet")
-            layers.append(eng._layer(layers[-1], j, q, ids[a], track))
-    return eng.scenario_from(w, layers, track)
-
-
 def recognize(f: FIS, w: Grid) -> Scenario | None:
     """The canonical accepting scenario of ``f`` on ``w``, or ``None``.
 
     Ties between scenarios are broken by declaration order of initial
     states, initial classes and transitions, so the result is stable.
     """
-    return _recognize(f, w, None)
+    return _Engine(f).scenario(w, None)
 
 
 def recognize_with_transition(f: FIS, w: Grid, t: Transition) -> Scenario | None:
     """Like :func:`recognize` but only scenarios in which ``t`` fires."""
-    return _recognize(f, w, t)
+    eng = _Engine(f)
+    return eng.scenario(w, eng.track(t))
 
 
 def first_accepted(f: FIS, max_rows: int, max_cols: int,
                    using: Transition | None = None) -> tuple[Grid, Scenario] | None:
     """The canonically first accepted grid within the bounds and the
     scenario :func:`recognize` gives on it, or ``None``.  With ``using``
-    set, only scenarios firing it count, as in :func:`recognize_with_transition`."""
+    set, only scenarios firing it count, as in :func:`recognize_with_transition`.
+
+    The search walks letters through frontier sets, which hold no
+    back-pointers; the grid it finds is then recognized once by a
+    fixed-letter pass, which gives the canonical scenario.
+    """
     eng = _Engine(f)
     track = eng.track(using)
-    for m, q in grids.sizes(max_rows, max_cols):
-        for g, layers in eng.iter_size(m, q, track):
-            return g, eng.scenario_from(g, layers, track)
+    for g in eng.accepted(max_rows, max_cols, track):
+        return g, eng.scenario(g, track)
     return None
 
 
@@ -543,10 +594,7 @@ def iter_accepted(f: FIS, max_rows: int, max_cols: int) -> Iterator[Grid]:
     Canonical order is area, then row count, then row-major letter
     order by alphabet declaration.
     """
-    eng = _Engine(f)
-    for m, q in grids.sizes(max_rows, max_cols):
-        for g, _layers in eng.iter_size(m, q):
-            yield g
+    yield from _Engine(f).accepted(max_rows, max_cols)
 
 
 def enumerate_language(f: FIS, max_rows: int, max_cols: int) -> list[Grid]:

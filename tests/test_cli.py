@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import diagonal, make_f1, make_trivial
-from fiskit import cli
+from fiskit import analysis, cli
 from fiskit.analysis import SearchBounds, bounded_emptiness
 from fiskit.fis import format_fis, parse_fis, recognize, render_scenario
 from fiskit.grids import format_grid, grid, parse_grid
@@ -160,6 +160,22 @@ def test_check_structure(files, capsys):
     bad = files("bad.grid", format_grid(grid(["ab"])))
     code, text = run(capsys, "check-structure", "--pcp", pcp_path, "--grid", bad)
     assert (code, text) == (1, "REJECT\n")
+
+
+def test_check_structure_compiles_once(files, capsys, monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return compile_pcp(p)
+
+    monkeypatch.setattr(cli, "compile_pcp", counting)
+    monkeypatch.setattr(analysis, "compile_pcp", counting)
+    pcp_path = files("p.pcp", format_pcp(P_TWO))
+    w = files("w.grid", format_grid(witness_from_solution(P_TWO, (1, 2))))
+    code, text = run(capsys, "check-structure", "--pcp", pcp_path, "--grid", w)
+    assert code == 0 and "overall: pass" in text
+    assert calls == [P_TWO]
 
 
 def test_errors_exit_two(files, capsys):

@@ -1,0 +1,138 @@
+"""The frontier engine against the oracles: first grids and their
+scenarios, languages at the bit-field width boundaries, wide profiles
+and the cost of the determinized letter walk."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+import oracles
+from conftest import diagonal, make_f1
+from generators import random_fis
+from fiskit.fis import (
+    FIS,
+    Transition,
+    _Engine,
+    check_scenario,
+    enumerate_language,
+    first_accepted,
+    recognize,
+    recognize_with_transition,
+)
+from fiskit.grids import sizes
+
+# every state and class initial and final, all 72 transitions: every
+# grid is accepted, and all prefixes of one length reach the same set
+UNIVERSAL = FIS(
+    alphabet=("a", "b"), states=("1", "2", "3"), classes=("A", "B"),
+    transitions=tuple(itertools.product("123", "AB", "ab", "AB", "123")),
+    initial_states=("1", "2", "3"), initial_classes=("A", "B"),
+    final_states=("1", "2", "3"), final_classes=("A", "B"),
+)
+
+
+def oracle_first(f: FIS, max_rows: int, max_cols: int, using=None):
+    """The first grid in canonical order with an oracle scenario (one
+    firing ``using`` when given)."""
+    for m, q in oracles.sizes(max_rows, max_cols):
+        for g in oracles.all_grids(f.alphabet, m, q):
+            for sc in oracles.all_scenarios(f, g):
+                if using is None or any(using in row for row in sc["cells"]):
+                    return g
+    return None
+
+
+def test_first_accepted_matches_oracle_on_random_systems():
+    rng = random.Random(9041)
+    tracked = 0
+    for _ in range(60):
+        f = random_fis(rng)
+        for using in (None, rng.choice(f.transitions) if f.transitions else None):
+            found = first_accepted(f, 2, 2, using=using)
+            want = oracle_first(f, 2, 2, using)
+            if want is None:
+                assert found is None
+                continue
+            g, sc = found
+            assert g == want
+            if using is None:
+                assert sc == recognize(f, g)
+            else:
+                tracked += 1
+                assert sc == recognize_with_transition(f, g, using)
+                assert any(using in row for row in sc.cell_runs)
+            assert check_scenario(f, sc) == []
+    assert tracked >= 10
+
+
+def complete_system(rng: random.Random, n_states: int, n_classes: int) -> FIS:
+    """A random system with one or two moves for every north, west and
+    letter, so that its languages are neither empty nor everything."""
+    states = tuple(f"s{i}" for i in range(n_states))
+    classes = tuple(f"c{i}" for i in range(n_classes))
+    alphabet = ("a", "b")
+    trans = []
+    for n, w, a in itertools.product(states, classes, alphabet):
+        for _ in range(rng.randint(1, 2)):
+            t = Transition(n, w, a, rng.choice(classes), rng.choice(states))
+            if t not in trans:
+                trans.append(t)
+    # the last state and class, stored in the widest field values, are
+    # always initial
+    two = lambda pool: tuple(dict.fromkeys((rng.choice(pool), pool[-1])))
+    half = lambda pool: tuple(x for x in pool if rng.random() < 0.5) or (pool[-1],)
+    return FIS(
+        alphabet=alphabet, states=states, classes=classes, transitions=tuple(trans),
+        initial_states=two(states), initial_classes=two(classes),
+        final_states=half(states), final_classes=half(classes),
+    )
+
+
+@pytest.mark.parametrize("n_states", [1, 2, 3, 4, 7, 8])
+@pytest.mark.parametrize("n_classes", [1, 3, 4])
+def test_language_at_field_width_boundaries(n_states, n_classes):
+    rng = random.Random(100 * n_states + n_classes)
+    for _ in range(2):
+        f = complete_system(rng, n_states, n_classes)
+        for rows, cols in ((2, 3), (3, 2)):
+            assert enumerate_language(f, rows, cols) == oracles.language(f, rows, cols)
+
+
+def test_profile_wider_than_a_machine_word():
+    f, g = make_f1(), diagonal(70)
+    eng = _Engine(f)
+    assert eng.shift0 + g.cols * eng.field_bits > 64
+    sc = recognize(f, g)
+    assert sc is not None and check_scenario(f, sc) == []
+    probe = Transition("2", "A", "c", "A", "2")
+    sc = recognize_with_transition(f, g, probe)
+    assert sc is not None and check_scenario(f, sc) == []
+
+
+def test_letter_walk_is_determinized(monkeypatch):
+    # all prefixes of one length hold the same frontier set, so the walk
+    # computes one successor set per cell and letter, not one per prefix
+    steps = [0]
+    per_size = {}
+    succ, iter_size = _Engine._succ, _Engine.iter_size
+
+    def counting_succ(self, fset, j, q, letter, track):
+        if letter is not None:
+            steps[0] += 1
+        return succ(self, fset, j, q, letter, track)
+
+    def counted_size(self, m, q, track=None):
+        before = steps[0]
+        yield from iter_size(self, m, q, track)
+        per_size[m, q] = steps[0] - before
+
+    monkeypatch.setattr(_Engine, "_succ", counting_succ)
+    monkeypatch.setattr(_Engine, "iter_size", counted_size)
+    got = enumerate_language(UNIVERSAL, 2, 5)
+    assert len(got) == sum(2 ** (m * q) for m, q in sizes(2, 5))
+    assert set(per_size) == set(sizes(2, 5))
+    for (m, q), count in per_size.items():
+        assert count <= m * q * len(UNIVERSAL.alphabet), (m, q)
