@@ -12,28 +12,31 @@ the right.  A grid is accepted when every cell can be labelled by a
 transition such that the top border uses initial states, the left
 border initial classes, and the bottom and right borders are final.
 
-Recognition propagates sets of frontiers cell by cell in row-major
-order.  A frontier is one int: one field per column holds the south
-state already emitted left of the cursor or the pending north state
-from the cursor on, low bits hold the class crossing the current cell
-border and whether a tracked transition fired, so a step rewrites two
-fields.  Border nondeterminism is resolved lazily: a first-row cell
-draws its north state from the initial states and a first-column cell
-draws its west class from the initial classes when the cell is parsed.
+The engine moves frontiers cell by cell in row-major order.  A
+frontier is one int: one field per column holds the south state
+already emitted left of the cursor or the pending north state from the
+cursor on, low bits hold the class crossing the current cell border
+and whether a tracked transition fired, so a step rewrites two fields.
+Border nondeterminism is resolved lazily: a first-row cell draws its
+north state from the initial states and a first-column cell draws its
+west class from the initial classes when the cell is parsed.
 
-The bounded searches choose letters inside the propagation.  The set
-of frontiers after a prefix depends only on the set before its last
-letter, so the letter walk memoizes each step per distinct set, an
-on-the-fly subset construction, and keeps no back-pointers.  A grid it
-finds is recognized once more by a fixed-letter pass whose layers map
-each frontier to its first (canonical) back-pointer; that pass gives
-the canonical scenario, the same as :func:`recognize`.
+A grid with fixed letters is recognized by a depth-first search that
+tries each frontier's moves in declaration order and remembers, per
+cell, the frontiers it already searched from.  The first accepting run
+it completes is the canonical scenario; on an accepted grid it is
+often found after one expansion per cell.  The bounded searches
+choose letters inside the propagation instead: the set of frontiers
+after a prefix depends only on the set before its last letter, so the
+letter walk memoizes each step per distinct set, an on-the-fly subset
+construction.  The scenario on a grid they find comes from the same
+depth-first search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import FormatError, UnknownLetter, UnknownTransition
 from .grids import Grid, check_letter
@@ -344,16 +347,18 @@ class _Engine:
     After the last cell a frontier accepts when every field holds a
     final state.
 
-    One engine serves one search: it caches the moves of each kind of
-    frontier and the forward layers of each width.
+    A fixed-letter grid is searched one frontier at a time, depth first
+    (:meth:`scenario`); the bounded searches propagate sets of
+    frontiers (:meth:`run_exist`, :meth:`iter_size`).  One engine
+    serves one search: it caches the moves of each kind of frontier and
+    the forward layers of each width.
     """
 
     def __init__(self, f: FIS):
-        self.letter_names, self.state_names, self.class_names = (
-            list(dict.fromkeys(names)) for names in (f.alphabet, f.states, f.classes))
+        self.letter_names = list(dict.fromkeys(f.alphabet))
         self.letter_id, self.state_id, self.class_id = (
-            {name: i for i, name in enumerate(names)}
-            for names in (self.letter_names, self.state_names, self.class_names))
+            {name: i for i, name in enumerate(dict.fromkeys(names))}
+            for names in (f.alphabet, f.states, f.classes))
 
         self.t_names = live_transitions(f)
         self.t_index = {t: i for i, t in enumerate(self.t_names)}
@@ -370,8 +375,8 @@ class _Engine:
         self.fin_fields = frozenset(sid[s] + 1 for s in f.final_states if s in sid)
         self.fin_classes = frozenset(cid[c] for c in f.final_classes if c in cid)
 
-        self.field_bits = max(1, len(self.state_names).bit_length())
-        east_bits = max(1, len(self.class_names).bit_length())
+        self.field_bits = max(1, len(self.state_id).bit_length())
+        east_bits = max(1, len(self.class_id).bit_length())
         self.east_mask = ((1 << east_bits) - 1) << 1
         self.shift0 = 1 + east_bits
         self.moves: dict[tuple[bool, int, int], dict] = {}
@@ -391,9 +396,9 @@ class _Engine:
 
         ``key`` is ``(last, field, east)``: whether the cursor is in the
         last column, its field and the east class as stored.  Each move
-        is ``(field, east, north, west, transition index)``: the new
-        field value and the new east bits in place.  Letter ``None``
-        lists the moves of every letter.
+        is ``(field, east, transition index)``: the new field value and
+        the new east bits in place.  Letter ``None`` lists the moves of
+        every letter.
         """
         last, field, east = key
         out: dict[int | None, list] = {None: []}
@@ -401,9 +406,9 @@ class _Engine:
             for w in self.init_classes if east == 0 else (east - 1,):
                 for ti in self.by_nw.get((n, w), ()):
                     if not last:
-                        move = (self.t_south[ti] + 1, (self.t_east[ti] + 1) << 1, n, w, ti)
+                        move = (self.t_south[ti] + 1, (self.t_east[ti] + 1) << 1, ti)
                     elif self.t_east[ti] in self.fin_classes:
-                        move = (self.t_south[ti] + 1, 0, n, w, ti)
+                        move = (self.t_south[ti] + 1, 0, ti)
                     else:
                         continue
                     out[None].append(move)
@@ -411,13 +416,23 @@ class _Engine:
         self.moves[key] = out
         return out
 
-    def _succ(self, fset, j: int, q: int, letter: int | None, track: int | None):
-        """Successors of the frontiers in ``fset`` at column ``j``.
+    def _expand(self, f: int, j: int, q: int, letter: int | None) -> tuple[Sequence, int, int]:
+        """The moves of frontier ``f`` at column ``j`` on ``letter``
+        (``None``: every letter), ``f`` with the cursor's field and the
+        east bits cleared, and the cursor's shift: a move ``(field,
+        east, ...)`` leads to ``rest | field << shift | east``, with bit
+        0 set when it fires the tracked transition."""
+        shift = self.shift0 + j * self.field_bits
+        fmask = (1 << self.field_bits) - 1
+        key = (j == q - 1, f >> shift & fmask, (f & self.east_mask) >> 1)
+        moves = self.moves.get(key) or self._moves(key)
+        return moves.get(letter, ()), f & ~(fmask << shift | self.east_mask), shift
 
-        Yields ``(successor, frontier, north, west, transition index)``
-        in canonical order: ``fset`` order, then initial states, initial
-        classes and transitions in declaration order.
-        """
+    def _succ(self, fset, j: int, q: int, letter: int | None, track: int | None):
+        """Successors of the frontiers in ``fset`` at column ``j`` on
+        ``letter`` (``None``: every letter).  The lookup of
+        :meth:`_expand` is inlined: a call per frontier made sparse
+        systems' set-wide passes up to a fifth slower."""
         shift = self.shift0 + j * self.field_bits
         fmask = (1 << self.field_bits) - 1
         emask = self.east_mask
@@ -426,12 +441,10 @@ class _Engine:
         cache = self.moves
         for f in fset:
             key = (last, f >> shift & fmask, (f & emask) >> 1)
-            moves = cache.get(key)
-            if moves is None:
-                moves = self._moves(key)
+            moves = cache.get(key) or self._moves(key)
             rest = f & clear
-            for field, east, n, w, ti in moves.get(letter, ()):
-                yield rest | field << shift | east | (ti == track), f, n, w, ti
+            for field, east, ti in moves.get(letter, ()):
+                yield rest | field << shift | east | (ti == track)
 
     def _accepts(self, f: int, q: int, track: int | None) -> bool:
         """Whether a frontier after a row's last cell is accepting."""
@@ -454,8 +467,7 @@ class _Engine:
         """
         layers = self.forward.setdefault((q, track), [{_START}])
         for p in range(len(layers) - 1, m * q):
-            layers.append({nf for nf, _f, _n, _w, _ti
-                           in self._succ(layers[p], p % q, q, None, track)})
+            layers.append(set(self._succ(layers[p], p % q, q, None, track)))
         return layers
 
     def _useful(self, layers, m: int, q: int, track: int | None) -> list[set[int]]:
@@ -466,8 +478,9 @@ class _Engine:
         for p in range(n - 1, -1, -1):
             up, keep = useful[p + 1], useful[p]
             for f in layers[p]:
-                for nf, _f, _n, _w, _ti in self._succ((f,), p % q, q, None, track):
-                    if nf in up:
+                moves, rest, shift = self._expand(f, p % q, q, None)
+                for field, east, ti in moves:
+                    if (rest | field << shift | east | (ti == track)) in up:
                         keep.add(f)
                         break
         return useful
@@ -499,8 +512,7 @@ class _Engine:
             if nxt is None:
                 up = useful[p + 1]
                 nxt = steps[key] = frozenset([
-                    nf for nf, _f, _n, _w, _ti
-                    in self._succ(fset, p % q, q, letter, track) if nf in up])
+                    nf for nf in self._succ(fset, p % q, q, letter, track) if nf in up])
             return nxt
 
         for chosen, _sets in grids.walk(frozenset((_START,)), [range(len(names))] * n, step):
@@ -521,46 +533,63 @@ class _Engine:
     def scenario(self, g: Grid, track: int | None) -> Scenario | None:
         """The canonical scenario on ``g``, or ``None``.
 
-        One fixed-letter pass maps each frontier to the first
-        (canonical) ``(previous frontier, north, west, transition
-        index)`` that produced it; the scenario is read back from the
-        first accepting frontier.
+        A depth-first search over the cells in row-major order tries
+        each frontier's moves in canonical order, so the first accepting
+        run it completes is the lexicographically least one.  A frontier
+        met again after a cell was searched from there and led nowhere,
+        so each (cell, frontier) pair is expanded at most once; on an
+        accepted grid the search often goes straight down.  The stack
+        is explicit, one entry per cell, so depth is not limited by the
+        interpreter's recursion limit.
         """
         ids, m, q = self.letter_id, g.rows, g.cols
-        layers: list[dict] = [{_START: None}]
-        for row in g.cells:
-            for j, a in enumerate(row):
-                if a not in ids:
-                    raise UnknownLetter(f"letter {a!r} is not in the alphabet")
-                nxt: dict = {}
-                for nf, f, n, w, ti in self._succ(layers[-1], j, q, ids[a], track):
-                    if nf not in nxt:
-                        nxt[nf] = (f, n, w, ti)
-                layers.append(nxt)
-        f = next((acc for acc in layers[-1] if self._accepts(acc, q, track)), None)
-        if f is None:
-            return None
-        choices: list[tuple[int, int, int]] = []
-        for p in range(m * q, 0, -1):
-            f, nn, ww, ti = layers[p][f]
-            choices.append((nn, ww, ti))
-        choices.reverse()
-        t_names = self.t_names
-        cell_runs = tuple(
-            tuple(t_names[choices[i * q + j][2]] for j in range(q))
-            for i in range(m))
-        b_n = tuple(self.state_names[choices[j][0]] for j in range(q))
-        b_w = tuple(self.class_names[choices[i * q][1]] for i in range(m))
-        b_s = tuple(cell_runs[m - 1][j].south for j in range(q))
-        b_e = tuple(cell_runs[i][q - 1].east for i in range(m))
-        return Scenario(grid=g, cell_runs=cell_runs, b_n=b_n, b_w=b_w, b_s=b_s, b_e=b_e)
+        try:
+            letters = [ids[a] for row in g.cells for a in row]
+        except KeyError as e:
+            raise UnknownLetter(f"letter {e.args[0]!r} is not in the alphabet") from None
+        n = m * q
+        seen: list[set[int]] = [set() for _ in range(n)]
+        stack: list[tuple] = []  # cells passed: moves, rest, shift, next move
+        moves, rest, shift = self._expand(_START, 0, q, letters[0])
+        i = 0
+        while True:
+            if i < len(moves):
+                field, east, ti = moves[i]
+                i += 1
+                nf = rest | field << shift | east | (ti == track)
+                p = len(stack)
+                if nf in seen[p]:
+                    continue
+                seen[p].add(nf)
+                if p + 1 < n:
+                    stack.append((moves, rest, shift, i))
+                    moves, rest, shift = self._expand(nf, (p + 1) % q, q, letters[p + 1])
+                    i = 0
+                elif self._accepts(nf, q, track):
+                    stack.append((moves, rest, shift, i))
+                    break
+            elif stack:
+                moves, rest, shift, i = stack.pop()
+            else:
+                return None
+        run = [self.t_names[moves[i - 1][2]] for moves, _rest, _shift, i in stack]
+        cell_runs = tuple(tuple(run[r * q:(r + 1) * q]) for r in range(m))
+        return Scenario(grid=g, cell_runs=cell_runs,
+                        b_n=tuple(t.north for t in cell_runs[0]),
+                        b_w=tuple(row[0].west for row in cell_runs),
+                        b_s=tuple(t.south for t in cell_runs[-1]),
+                        b_e=tuple(row[-1].east for row in cell_runs))
 
 
 def recognize(f: FIS, w: Grid) -> Scenario | None:
     """The canonical accepting scenario of ``f`` on ``w``, or ``None``.
 
     Ties between scenarios are broken by declaration order of initial
-    states, initial classes and transitions, so the result is stable.
+    states, initial classes and transitions, so the result is stable:
+    the canonical scenario is the lexicographically least sequence of
+    moves, one per cell in row-major order, where a cell's moves are
+    ordered by north state (first row), west class (first column) and
+    transition.
     """
     return _Engine(f).scenario(w, None)
 
@@ -578,8 +607,8 @@ def first_accepted(f: FIS, max_rows: int, max_cols: int,
     set, only scenarios firing it count, as in :func:`recognize_with_transition`.
 
     The search walks letters through frontier sets, which hold no
-    back-pointers; the grid it finds is then recognized once by a
-    fixed-letter pass, which gives the canonical scenario.
+    back-pointers; the scenario on the grid it finds comes from the
+    depth-first search of :func:`recognize`.
     """
     eng = _Engine(f)
     track = eng.track(using)

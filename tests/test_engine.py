@@ -1,6 +1,7 @@
 """The frontier engine against the oracles: first grids and their
-scenarios, languages at the bit-field width boundaries, wide profiles
-and the cost of the determinized letter walk."""
+scenarios, the canonical scenario of every small grid, languages at the
+bit-field width boundaries, wide profiles, and the cost and depth of
+the recognizer's search and of the determinized letter walk."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import random
 import pytest
 
 import oracles
-from conftest import diagonal, make_f1
+from conftest import diagonal, make_f1, make_trivial
 from generators import random_fis
 from fiskit.fis import (
     FIS,
@@ -22,7 +23,7 @@ from fiskit.fis import (
     recognize,
     recognize_with_transition,
 )
-from fiskit.grids import sizes
+from fiskit.grids import grid, sizes
 
 # every state and class initial and final, all 72 transitions: every
 # grid is accepted, and all prefixes of one length reach the same set
@@ -112,6 +113,41 @@ def test_profile_wider_than_a_machine_word():
     assert sc is not None and check_scenario(f, sc) == []
 
 
+def test_recognize_stops_at_the_first_accepting_run(monkeypatch):
+    # every grid is accepted, so the search follows one run down and
+    # never expands every frontier of every cell
+    moves = [0]
+    expand, succ = _Engine._expand, _Engine._succ
+
+    def counting_expand(self, f, j, q, letter):
+        found = expand(self, f, j, q, letter)
+        moves[0] += len(found[0])
+        return found
+
+    def counting_succ(self, fset, j, q, letter, track):
+        for nf in succ(self, fset, j, q, letter, track):
+            moves[0] += 1
+            yield nf
+
+    monkeypatch.setattr(_Engine, "_expand", counting_expand)
+    monkeypatch.setattr(_Engine, "_succ", counting_succ)
+    g = grid(["abbabaab", "babbaaba"])
+    sc = recognize(UNIVERSAL, g)
+    assert sc is not None and check_scenario(UNIVERSAL, sc) == []
+    assert moves[0] <= g.rows * g.cols * len(UNIVERSAL.transitions)
+
+
+def test_recognize_depth_is_not_limited_by_recursion():
+    f, g = make_f1(), diagonal(80)
+    sc = recognize(f, g)
+    assert sc is not None and check_scenario(f, sc) == []
+    cells = [list(row) for row in g.cells]
+    cells[-1][0] = "b"
+    assert recognize(f, grid(cells)) is None
+    sc = recognize(make_trivial(), grid(["a" * 1100]))
+    assert sc is not None and len(sc.cell_runs[0]) == 1100
+
+
 def test_letter_walk_is_determinized(monkeypatch):
     # all prefixes of one length hold the same frontier set, so the walk
     # computes one successor set per cell and letter, not one per prefix
@@ -136,3 +172,39 @@ def test_letter_walk_is_determinized(monkeypatch):
     assert set(per_size) == set(sizes(2, 5))
     for (m, q), count in per_size.items():
         assert count <= m * q * len(UNIVERSAL.alphabet), (m, q)
+
+
+def oracle_scenario(sc) -> dict | None:
+    """A scenario in the oracle's shape, for comparison."""
+    if sc is None:
+        return None
+    return {"cells": [list(row) for row in sc.cell_runs],
+            "b_n": list(sc.b_n), "b_w": list(sc.b_w)}
+
+
+@pytest.mark.parametrize("pools", [
+    {},
+    {"states": ("x", "x,y", "y"), "classes": ("x", "y,x", "y"),
+     "alphabet": ("x", "x,y", "y,x")},
+], ids=["default", "punctuated"])
+def test_recognize_is_the_oracles_first_scenario(pools):
+    # the oracle backtracks in declaration order, so its first scenario
+    # is the lexicographically least one: the canonical scenario
+    rng = random.Random(5417 + len(pools))
+    shapes = sorted(set(oracles.sizes(2, 3)) | set(oracles.sizes(3, 2)))
+    accepted = tracked = 0
+    for _ in range(25):
+        f = random_fis(rng, **pools)
+        for m, q in shapes:
+            for g in oracles.all_grids(f.alphabet, m, q):
+                scenarios = oracles.all_scenarios(f, g)
+                want = scenarios[0] if scenarios else None
+                assert oracle_scenario(recognize(f, g)) == want, g.cells
+                accepted += want is not None
+                for t in f.transitions:
+                    first = next((sc for sc in scenarios
+                                  if any(t in row for row in sc["cells"])), None)
+                    got = recognize_with_transition(f, g, t)
+                    assert oracle_scenario(got) == first, (g.cells, t)
+                    tracked += first is not None
+    assert accepted >= 100 and tracked >= 100
