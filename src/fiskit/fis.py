@@ -36,6 +36,7 @@ depth-first search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import FormatError, UnknownLetter, UnknownTransition
@@ -77,6 +78,13 @@ class FIS:
             self, "transitions",
             tuple(t if isinstance(t, Transition) else Transition(*t)
                   for t in self.transitions))
+
+    @cached_property
+    def _engine(self) -> _Engine:
+        """The system compiled once; every search on it reads this.  A
+        cached property lives in the instance ``__dict__``, so the frozen
+        fields, equality and hashing are untouched."""
+        return _Engine(self)
 
 
 def validate(f: FIS) -> list[str]:
@@ -350,12 +358,15 @@ class _Engine:
     A fixed-letter grid is searched one frontier at a time, depth first
     (:meth:`scenario`); the bounded searches propagate sets of
     frontiers (:meth:`run_exist`, :meth:`iter_size`).  One engine
-    serves one search: it caches the moves of each kind of frontier and
-    the forward layers of each width.
+    serves every search on its system (``FIS._engine``): the move table
+    of each kind of frontier grows across searches, and nothing else
+    changes after compilation.  Forward layers belong to the search that
+    builds them, so a search stopped early leaves none behind.
     """
 
     def __init__(self, f: FIS):
         self.letter_names = list(dict.fromkeys(f.alphabet))
+        self.grid = grids.grid_over(self.letter_names)
         self.letter_id, self.state_id, self.class_id = (
             {name: i for i, name in enumerate(dict.fromkeys(names))}
             for names in (f.alphabet, f.states, f.classes))
@@ -380,7 +391,6 @@ class _Engine:
         self.east_mask = ((1 << east_bits) - 1) << 1
         self.shift0 = 1 + east_bits
         self.moves: dict[tuple[bool, int, int], dict] = {}
-        self.forward: dict[tuple[int, int | None], list[set[int]]] = {}
 
     def track(self, t: Transition | None) -> int | None:
         """The index of a transition to track, ``None`` for none."""
@@ -458,14 +468,14 @@ class _Engine:
             f >>= width
         return True
 
-    def run_exist(self, m: int, q: int, track: int | None = None) -> list[set[int]]:
+    def run_exist(self, m: int, q: int, track: int | None,
+                  layers: list[set[int]]) -> list[set[int]]:
         """Forward pass with the letter chosen existentially per cell.
 
-        The layer after a cell does not depend on the row count, so the
-        pass extends one list per width and tracked transition; the list
-        it returns may hold more than ``m * q + 1`` layers.
+        The layer after a cell does not depend on the row count, so a
+        search extends one list ``layers`` per width, starting from
+        ``[{_START}]``; it may hold more than ``m * q + 1`` layers.
         """
-        layers = self.forward.setdefault((q, track), [{_START}])
         for p in range(len(layers) - 1, m * q):
             layers.append(set(self._succ(layers[p], p % q, q, None, track)))
         return layers
@@ -485,8 +495,12 @@ class _Engine:
                         break
         return useful
 
-    def iter_size(self, m: int, q: int, track: int | None = None) -> Iterator[Grid]:
+    def iter_size(self, m: int, q: int, track: int | None,
+                  layers: list[set[int]]) -> Iterator[Grid]:
         """Accepted m x q grids in row-major lexicographic letter order.
+
+        ``layers`` is the search's forward pass of width ``q``
+        (:meth:`run_exist`), extended here as far as ``m`` rows need.
 
         The letter walk carries the set of frontiers after each prefix,
         cut to frontiers from which some letter choice still reaches
@@ -497,13 +511,13 @@ class _Engine:
         construction, paid per distinct set and not per prefix.
         """
         n = m * q
-        layers = self.run_exist(m, q, track)
+        layers = self.run_exist(m, q, track, layers)
         if not any(self._accepts(f, q, track) for f in layers[n]):
             return
         useful = self._useful(layers, m, q, track)
         if _START not in useful[0]:
             return
-        names = self.letter_names
+        names, make = self.letter_names, self.grid
         steps: dict[tuple[int, frozenset[int], int], frozenset[int]] = {}
 
         def step(p: int, fset: frozenset[int], letter: int) -> frozenset[int]:
@@ -516,19 +530,19 @@ class _Engine:
             return nxt
 
         for chosen, _sets in grids.walk(frozenset((_START,)), [range(len(names))] * n, step):
-            yield grids.grid([names[li] for li in chosen[r * q:(r + 1) * q]]
-                             for r in range(m))
+            yield make([names[li] for li in chosen[r * q:(r + 1) * q]] for r in range(m))
 
     def accepted(self, max_rows: int, max_cols: int,
                  track: int | None = None) -> Iterator[Grid]:
         """Accepted grids within the bounds, in canonical order; a
         width's forward layers are dropped after its last size."""
+        forward: dict[int, list[set[int]]] = {}
         order = grids.sizes(max_rows, max_cols)
         last = {q: k for k, (_m, q) in enumerate(order)}
         for k, (m, q) in enumerate(order):
-            yield from self.iter_size(m, q, track)
+            yield from self.iter_size(m, q, track, forward.setdefault(q, [{_START}]))
             if last[q] == k:
-                del self.forward[q, track]
+                del forward[q]
 
     def scenario(self, g: Grid, track: int | None) -> Scenario | None:
         """The canonical scenario on ``g``, or ``None``.
@@ -591,12 +605,12 @@ def recognize(f: FIS, w: Grid) -> Scenario | None:
     ordered by north state (first row), west class (first column) and
     transition.
     """
-    return _Engine(f).scenario(w, None)
+    return f._engine.scenario(w, None)
 
 
 def recognize_with_transition(f: FIS, w: Grid, t: Transition) -> Scenario | None:
     """Like :func:`recognize` but only scenarios in which ``t`` fires."""
-    eng = _Engine(f)
+    eng = f._engine
     return eng.scenario(w, eng.track(t))
 
 
@@ -610,7 +624,7 @@ def first_accepted(f: FIS, max_rows: int, max_cols: int,
     back-pointers; the scenario on the grid it finds comes from the
     depth-first search of :func:`recognize`.
     """
-    eng = _Engine(f)
+    eng = f._engine
     track = eng.track(using)
     for g in eng.accepted(max_rows, max_cols, track):
         return g, eng.scenario(g, track)
@@ -623,7 +637,7 @@ def iter_accepted(f: FIS, max_rows: int, max_cols: int) -> Iterator[Grid]:
     Canonical order is area, then row count, then row-major letter
     order by alphabet declaration.
     """
-    yield from _Engine(f).accepted(max_rows, max_cols)
+    yield from f._engine.accepted(max_rows, max_cols)
 
 
 def enumerate_language(f: FIS, max_rows: int, max_cols: int) -> list[Grid]:

@@ -12,7 +12,7 @@ both recognizers enumerate their languages in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ColumnMismatch,
@@ -33,7 +33,7 @@ def check_letter(token: str) -> str:
     """Return ``token`` if it is a valid letter, raise otherwise."""
     if not isinstance(token, str) or not token:
         raise InvalidLetter("letters must be non-empty strings")
-    if any(c.isspace() for c in token):
+    if token.split() != [token]:  # str.split and str.isspace agree on every code point
         raise InvalidLetter(f"letter {token!r} contains whitespace")
     if token == BORDER:
         raise InvalidLetter(f"letter {token!r} is the reserved border symbol")
@@ -80,6 +80,28 @@ class Grid:
 def grid(rows: Iterable[Sequence[str]]) -> Grid:
     """Build a :class:`Grid` from any nested sequence of letters."""
     return Grid(tuple(tuple(row) for row in rows))
+
+
+def grid_over(alphabet: Sequence[str]) -> Callable[[Iterable[Sequence[str]]], Grid]:
+    """:func:`grid` for non-empty rectangular rows of letters drawn from
+    ``alphabet``, such as a search builds.
+
+    The alphabet is checked once, here.  When every letter passes, the
+    constructor returned skips the per-cell check; otherwise it is
+    :func:`grid`, which raises on the first grid showing a bad letter.
+    """
+    try:
+        for a in alphabet:
+            check_letter(a)
+    except InvalidLetter:
+        return grid
+    return _prechecked_grid
+
+
+def _prechecked_grid(rows: Iterable[Sequence[str]]) -> Grid:
+    g = object.__new__(Grid)
+    object.__setattr__(g, "cells", tuple(tuple(row) for row in rows))
+    return g
 
 
 def sizes(max_rows: int, max_cols: int) -> list[tuple[int, int]]:

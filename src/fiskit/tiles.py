@@ -12,11 +12,12 @@ two directions of that equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import FormatError, UnknownLetter
 from .fis import FIS, Transition, live_transitions
-from .grids import BORDER, Cells, Grid, border, check_letter, grid, sizes, subgrids, walk
+from .grids import BORDER, Cells, Grid, border, check_letter, grid_over, sizes, subgrids, walk
 
 Cells2 = tuple[tuple[str, str], tuple[str, str]]
 
@@ -67,6 +68,15 @@ def quote(name: str) -> str:
 
 def tile(nw: str, ne: str, sw: str, se: str) -> Tile:
     return Tile(((nw, ne), (sw, se)))
+
+
+def _tile(nw: str, ne: str, sw: str, se: str) -> Tile:
+    """:func:`tile` without the letter check, for letters already
+    checked: a :class:`LocalLanguage` checks its alphabet and that every
+    tile letter is in it or is the border symbol."""
+    t = object.__new__(Tile)
+    object.__setattr__(t, "cells", ((nw, ne), (sw, se)))
+    return t
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,11 @@ class TileSystem:
     def h(self) -> dict[str, str]:
         return dict(self.mapping)
 
+    @cached_property
+    def _engine(self) -> _TsEngine:
+        """The system compiled once, as for ``FIS._engine``."""
+        return _TsEngine(self)
+
 
 # ---------------------------------------------------------------------------
 # recognition: frontier search over preimage letters
@@ -140,13 +155,17 @@ class _TsEngine:
     frontier keeps the last (cols + 3) chosen cells, exactly the ones
     future windows still touch.  When a cell completes a window, the
     window must be a declared tile; frontiers are deduplicated so whole
-    preimage grids are never enumerated.
+    preimage grids are never enumerated.  One engine serves every search
+    on its system (``TileSystem._engine``); it keeps only the window
+    table, and each search its own frontiers.
     """
 
     def __init__(self, ts: TileSystem):
+        self.targets = frozenset(ts.target)
+        self.grid = grid_over(ts.target)
         self.allowed: dict[tuple[str, str, str], set[str]] = {}
-        for t in ts.local.delta:
-            self.allowed.setdefault((t.nw, t.ne, t.sw), set()).add(t.se)
+        for (nw, ne), (sw, se) in (t.cells for t in ts.local.delta):
+            self.allowed.setdefault((nw, ne, sw), set()).add(se)
         self.pre: dict[str, tuple[str, ...]] = {}
         for source, out in ts.mapping:
             self.pre[out] = self.pre.get(out, ()) + (source,)
@@ -190,9 +209,10 @@ class _TsEngine:
                     nxt.add(nf)
             return nxt
 
+        make = self.grid
         for chosen, _states in walk({()}, choices, step):
             names = [name for name, _, _ in chosen if name is not None]
-            yield grid(names[r * q:(r + 1) * q] for r in range(m))
+            yield make(names[r * q:(r + 1) * q] for r in range(m))
 
 
 def ts_recognize(ts: TileSystem, w: Grid) -> bool:
@@ -202,18 +222,18 @@ def ts_recognize(ts: TileSystem, w: Grid) -> bool:
     propagation; equivalent to, but far cheaper than, enumerating the
     preimage grids wholesale.
     """
-    targets = set(ts.target)
+    eng = ts._engine
     for row in w.cells:
         for cell in row:
-            if cell not in targets:
+            if cell not in eng.targets:
                 raise UnknownLetter(f"letter {cell!r} is not in the target alphabet")
-    return next(_TsEngine(ts).iter_size(w.rows, w.cols, w.cells), None) is not None
+    return next(eng.iter_size(w.rows, w.cols, w.cells), None) is not None
 
 
 def ts_language(ts: TileSystem, max_rows: int, max_cols: int) -> list[Grid]:
     """All recognized grids within bounds, in canonical order
     (area, then rows, then row-major letter order)."""
-    eng = _TsEngine(ts)
+    eng = ts._engine
     return [w for m, q in sizes(max_rows, max_cols) for w in eng.iter_size(m, q)]
 
 
@@ -238,38 +258,38 @@ def fis_to_tiles(f: FIS) -> TileSystem:
     fin_s = set(f.final_states)
     fin_c = set(f.final_classes)
 
-    delta: list[Tile] = [tile(BORDER, BORDER, BORDER, BORDER)]
+    delta: list[Tile] = [_tile(BORDER, BORDER, BORDER, BORDER)]
     pairs = list(zip(tokens, ts_list))
 
     for tok, t in pairs:  # north-west corner
         if t.north in ini_s and t.west in ini_c:
-            delta.append(tile(BORDER, BORDER, BORDER, tok))
+            delta.append(_tile(BORDER, BORDER, BORDER, tok))
     for tok, t in pairs:  # north-east corner
         if t.north in ini_s and t.east in fin_c:
-            delta.append(tile(BORDER, BORDER, tok, BORDER))
+            delta.append(_tile(BORDER, BORDER, tok, BORDER))
     for tok, t in pairs:  # south-west corner
         if t.west in ini_c and t.south in fin_s:
-            delta.append(tile(BORDER, tok, BORDER, BORDER))
+            delta.append(_tile(BORDER, tok, BORDER, BORDER))
     for tok, t in pairs:  # south-east corner
         if t.south in fin_s and t.east in fin_c:
-            delta.append(tile(tok, BORDER, BORDER, BORDER))
+            delta.append(_tile(tok, BORDER, BORDER, BORDER))
 
     for tok1, t1 in pairs:  # north edge
         for tok2, t2 in pairs:
             if t1.north in ini_s and t2.north in ini_s and t1.east == t2.west:
-                delta.append(tile(BORDER, BORDER, tok1, tok2))
+                delta.append(_tile(BORDER, BORDER, tok1, tok2))
     for tok1, t1 in pairs:  # west edge
         for tok2, t2 in pairs:
             if t1.west in ini_c and t2.west in ini_c and t1.south == t2.north:
-                delta.append(tile(BORDER, tok1, BORDER, tok2))
+                delta.append(_tile(BORDER, tok1, BORDER, tok2))
     for tok1, t1 in pairs:  # east edge
         for tok2, t2 in pairs:
             if t1.east in fin_c and t2.east in fin_c and t1.south == t2.north:
-                delta.append(tile(tok1, BORDER, tok2, BORDER))
+                delta.append(_tile(tok1, BORDER, tok2, BORDER))
     for tok1, t1 in pairs:  # south edge
         for tok2, t2 in pairs:
             if t1.south in fin_s and t2.south in fin_s and t1.east == t2.west:
-                delta.append(tile(tok1, tok2, BORDER, BORDER))
+                delta.append(_tile(tok1, tok2, BORDER, BORDER))
 
     # interior: left column pairs against compatible right column pairs
     verticals = [(i, j) for i, (_, a) in enumerate(pairs)
@@ -279,7 +299,7 @@ def fis_to_tiles(f: FIS) -> TileSystem:
         by_wests.setdefault((ts_list[i].west, ts_list[j].west), []).append((i, j))
     for i, j in verticals:
         for k, l in by_wests.get((ts_list[i].east, ts_list[j].east), ()):
-            delta.append(tile(tokens[i], tokens[k], tokens[j], tokens[l]))
+            delta.append(_tile(tokens[i], tokens[k], tokens[j], tokens[l]))
 
     return TileSystem(
         local=LocalLanguage(alphabet=tuple(tokens), delta=tuple(delta)),
@@ -321,7 +341,7 @@ def tiles_to_fis(ts: TileSystem) -> FIS:
         if t.se == BORDER:
             continue
         letter = h[t.se]
-        corner_window = tile(t.se, BORDER, BORDER, BORDER)
+        corner_window = _tile(t.se, BORDER, BORDER, BORDER)
         for e in east_of.get((t.ne, t.se), ()):
             for s in south_of.get((t.sw, t.se), ()):
                 closes_final = (e.ne, e.se) == (BORDER, BORDER) and \

@@ -1,7 +1,8 @@
 """The frontier engine against the oracles: first grids and their
 scenarios, the canonical scenario of every small grid, languages at the
-bit-field width boundaries, wide profiles, and the cost and depth of
-the recognizer's search and of the determinized letter walk."""
+bit-field width boundaries, wide profiles, the cost and depth of the
+recognizer's search and of the determinized letter walk, and the one
+engine each system keeps across searches."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 import oracles
 from conftest import diagonal, make_f1, make_trivial
 from generators import random_fis
+from fiskit.errors import InvalidLetter
 from fiskit.fis import (
     FIS,
     Transition,
@@ -20,6 +22,9 @@ from fiskit.fis import (
     check_scenario,
     enumerate_language,
     first_accepted,
+    format_fis,
+    iter_accepted,
+    parse_fis,
     recognize,
     recognize_with_transition,
 )
@@ -160,9 +165,9 @@ def test_letter_walk_is_determinized(monkeypatch):
             steps[0] += 1
         return succ(self, fset, j, q, letter, track)
 
-    def counted_size(self, m, q, track=None):
+    def counted_size(self, m, q, track, layers):
         before = steps[0]
-        yield from iter_size(self, m, q, track)
+        yield from iter_size(self, m, q, track, layers)
         per_size[m, q] = steps[0] - before
 
     monkeypatch.setattr(_Engine, "_succ", counting_succ)
@@ -208,3 +213,59 @@ def test_recognize_is_the_oracles_first_scenario(pools):
                     assert oracle_scenario(got) == first, (g.cells, t)
                     tracked += first is not None
     assert accepted >= 100 and tracked >= 100
+
+
+def test_each_system_is_compiled_once(monkeypatch):
+    built = []
+    init = _Engine.__init__
+
+    def counting_init(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(_Engine, "__init__", counting_init)
+    f, g = make_f1(), diagonal(3)
+    probe = Transition("2", "A", "c", "A", "2")
+    assert recognize(f, g) is not None
+    assert recognize_with_transition(f, g, probe) is not None
+    assert first_accepted(f, 3, 3, using=probe)[0] == diagonal(2)
+    assert list(iter_accepted(f, 3, 3)) == [diagonal(1), diagonal(2), g]
+    assert built == [f]
+
+
+def test_a_warm_engine_answers_as_a_fresh_one():
+    rng = random.Random(9041)
+    for _ in range(60):
+        f = random_fis(rng)
+        fresh = lambda: parse_fis(format_fis(f))
+        eng = f._engine
+        first = first_accepted(f, 2, 3)
+        partial = iter_accepted(f, 2, 3)
+        head = next(partial, None)
+        # searches stopped early leave nothing but moves on the engine
+        tables = {k: v for k, v in vars(eng).items() if k != "moves"}
+        assert tables == {k: v for k, v in vars(_Engine(f)).items() if k != "moves"}
+        assert first == first_accepted(fresh(), 2, 3)
+        lang = enumerate_language(f, 2, 3)
+        assert lang == enumerate_language(fresh(), 2, 3)
+        assert ([head] if head else []) + list(partial) == lang
+        for t in f.transitions:
+            assert first_accepted(f, 2, 2, using=t) == first_accepted(fresh(), 2, 2, using=t)
+        for g in lang:
+            assert recognize(f, g) == recognize(fresh(), g)
+            for t in f.transitions[:2]:
+                assert recognize_with_transition(f, g, t) == \
+                    recognize_with_transition(fresh(), g, t)
+        assert f._engine is eng
+
+
+def test_search_grids_still_check_letters_of_unvalidated_systems():
+    # "#" is the border symbol, not a letter: the grid showing it raises
+    f = FIS(alphabet=("a", "#"), states=("s",), classes=("c",),
+            transitions=(("s", "c", "a", "c", "s"), ("s", "c", "#", "c", "s")),
+            initial_states=("s",), initial_classes=("c",),
+            final_states=("s",), final_classes=("c",))
+    found = iter_accepted(f, 1, 1)
+    assert next(found) == grid([["a"]])
+    with pytest.raises(InvalidLetter):
+        next(found)

@@ -17,6 +17,7 @@ from fiskit.errors import (
 from fiskit.grids import (
     BORDER,
     border,
+    check_letter,
     format_grid,
     grid,
     h_compose,
@@ -62,6 +63,16 @@ def test_bad_letters_are_rejected():
         grid([["a b"]])
     with pytest.raises(InvalidLetter):
         grid([[""]])
+
+
+def test_letter_check_rejects_exactly_the_whitespace_code_points():
+    for c in map(chr, range(0x110000)):
+        token = "x" + c + "y"
+        if c.isspace():
+            with pytest.raises(InvalidLetter):
+                check_letter(token)
+        else:
+            assert check_letter(token) == token
 
 
 def test_v_compose_stacks_rows():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_f1, make_trivial
+from conftest import diagonal, make_f1, make_trivial
 from generators import random_fis, random_tile_system
 from fiskit.errors import FormatError, InvalidLetter, UnknownLetter
 from fiskit.fis import FIS, Transition, enumerate_language, recognize
@@ -18,6 +18,7 @@ from fiskit.tiles import (
     LocalLanguage,
     Tile,
     TileSystem,
+    _TsEngine,
     fis_to_tiles,
     format_tiles,
     local_member,
@@ -74,6 +75,21 @@ def test_local_language_dedups_and_checks_letters():
     # a local letter spelled like the border would stand in for the frame
     with pytest.raises(InvalidLetter):
         LocalLanguage(alphabet=(B,), delta=(tile(B, B, B, B),))
+
+
+def test_conversion_checks_letters_of_unvalidated_systems():
+    # the state name makes a transition token with a space in it
+    f = FIS(alphabet=("a",), states=("s", "a b"), classes=("c",),
+            transitions=(Transition("s", "c", "a", "c", "a b"),),
+            initial_states=("s",), initial_classes=("c",),
+            final_states=("a b",), final_classes=("c",))
+    with pytest.raises(InvalidLetter):
+        fis_to_tiles(f)
+    # a target letter spelled like the border raises on the grid showing it
+    ts = TileSystem(local=LocalLanguage(alphabet=("v",), delta=corner_tiles("v")),
+                    target=(B,), mapping=(("v", B),))
+    with pytest.raises(InvalidLetter):
+        ts_language(ts, 1, 1)
 
 
 def test_tile_system_requires_total_projection():
@@ -269,3 +285,20 @@ def test_ts_recognize_deep_grid():
     assert ts_recognize(ts, grid([["a"] * 700]))
     # rejected only at the south frame, after the walk crossed every cell
     assert not ts_recognize(fis_to_tiles(make_f1()), grid([["a"] + ["b"] * 699]))
+
+
+def test_each_tile_system_is_compiled_once(monkeypatch):
+    built = []
+    init = _TsEngine.__init__
+
+    def counting_init(self, ts):
+        built.append(ts)
+        init(self, ts)
+
+    monkeypatch.setattr(_TsEngine, "__init__", counting_init)
+    f = make_f1()
+    ts = fis_to_tiles(f)
+    for n in range(1, 6):
+        assert ts_recognize(ts, diagonal(n))
+    assert ts_language(ts, 3, 3) == enumerate_language(f, 3, 3)
+    assert built == [ts]
