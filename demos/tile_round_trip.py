@@ -35,8 +35,8 @@ print("languages agree up to 3x3:", want == got)
 for g in got:
     print(format_grid(g))
 
-# and back again: tiles become both the states and the classes of a
-# (much larger) system with the same language
+# and back again: pairs of adjacent local letters become the states
+# and the classes of a system with the same language
 f2 = tiles_to_fis(ts)
 print("round-tripped system:", len(f2.states), "states,",
       len(f2.transitions), "transitions")

@@ -84,7 +84,7 @@ class FIS:
         """The system compiled once; every search on it reads this.  A
         cached property lives in the instance ``__dict__``, so the frozen
         fields, equality and hashing are untouched."""
-        return _Engine(self)
+        return TransitionTable.of(self).compile()
 
 
 def validate(f: FIS) -> list[str]:
@@ -333,6 +333,49 @@ def format_fis(f: FIS) -> str:
 _START = 0  # before the first cell: no field drawn, no class, not used
 
 
+class TransitionTable(dict):
+    """A system numbered for the frontier engine: its letters by id,
+    states ``0..states-1``, classes ``0..classes-1``, the initial and
+    final id sets, and its transitions by (north, west) id pair.
+
+    An entry lists the transitions leaving its pair in canonical order
+    as ``(letter, east, south, index)``; ``names[index]`` is the
+    transition itself.  :meth:`of` fills every entry of a FIS at once.
+    A subclass may fill an entry on first request in ``__missing__``,
+    appending to ``names``; here a missing entry has no transitions.
+    """
+
+    def __init__(self, alphabet: Sequence[str], states: int, classes: int,
+                 initial: tuple[Sequence[int], ...], final: tuple[Sequence[int], ...]):
+        super().__init__()
+        self.alphabet, self.states, self.classes = list(alphabet), states, classes
+        self.initial_states, self.initial_classes = initial
+        self.final_states, self.final_classes = final
+        self.names: list[Transition] = []
+
+    def __missing__(self, key: tuple[int, int]) -> Sequence[tuple[int, int, int, int]]:
+        return ()
+
+    @classmethod
+    def of(cls, f: FIS) -> TransitionTable:
+        """The transitions of ``f`` that can fire, in declaration order."""
+        lid, sid, cid = ({name: i for i, name in enumerate(dict.fromkeys(names))}
+                         for names in (f.alphabet, f.states, f.classes))
+        ids = lambda table, names: tuple(dict.fromkeys(table[x] for x in names if x in table))
+        out = cls(lid, len(sid), len(cid),
+                  (ids(sid, f.initial_states), ids(cid, f.initial_classes)),
+                  (ids(sid, f.final_states), ids(cid, f.final_classes)))
+        for t in live_transitions(f):
+            out.setdefault((sid[t.north], cid[t.west]), []).append(
+                (lid[t.letter], cid[t.east], sid[t.south], len(out.names)))
+            out.names.append(t)
+        return out
+
+    def compile(self) -> _Engine:
+        """The frontier engine over this table."""
+        return _Engine(self)
+
+
 class _Engine:
     """A system compiled to integer tables for frontier propagation.
 
@@ -358,36 +401,25 @@ class _Engine:
     A fixed-letter grid is searched one frontier at a time, depth first
     (:meth:`scenario`); the bounded searches propagate sets of
     frontiers (:meth:`run_exist`, :meth:`iter_size`).  One engine
-    serves every search on its system (``FIS._engine``): the move table
-    of each kind of frontier grows across searches, and nothing else
-    changes after compilation.  Forward layers belong to the search that
-    builds them, so a search stopped early leaves none behind.
+    serves every search on its system (``FIS._engine``,
+    ``TileSystem._engine``): the move table of each kind of frontier
+    grows across searches, and so does a transition table filled on
+    request; nothing else changes after compilation.  Forward layers
+    belong to the search that builds them, so a search stopped early
+    leaves none behind.
     """
 
-    def __init__(self, f: FIS):
-        self.letter_names = list(dict.fromkeys(f.alphabet))
+    def __init__(self, table: TransitionTable):
+        self.letter_names = table.alphabet
         self.grid = grids.grid_over(self.letter_names)
-        self.letter_id, self.state_id, self.class_id = (
-            {name: i for i, name in enumerate(dict.fromkeys(names))}
-            for names in (f.alphabet, f.states, f.classes))
+        self.letter_id = {name: i for i, name in enumerate(self.letter_names)}
+        self.leaving, self.t_names = table, table.names
+        self.init_states, self.init_classes = table.initial_states, table.initial_classes
+        self.fin_fields = frozenset(s + 1 for s in table.final_states)
+        self.fin_classes = frozenset(table.final_classes)
 
-        self.t_names = live_transitions(f)
-        self.t_index = {t: i for i, t in enumerate(self.t_names)}
-        self.t_east = [self.class_id[t.east] for t in self.t_names]
-        self.t_south = [self.state_id[t.south] for t in self.t_names]
-        self.t_letter = [self.letter_id[t.letter] for t in self.t_names]
-        self.by_nw: dict[tuple[int, int], list[int]] = {}
-        for ti, t in enumerate(self.t_names):
-            self.by_nw.setdefault((self.state_id[t.north], self.class_id[t.west]), []).append(ti)
-
-        sid, cid = self.state_id, self.class_id
-        self.init_states = tuple(dict.fromkeys(sid[s] for s in f.initial_states if s in sid))
-        self.init_classes = tuple(dict.fromkeys(cid[c] for c in f.initial_classes if c in cid))
-        self.fin_fields = frozenset(sid[s] + 1 for s in f.final_states if s in sid)
-        self.fin_classes = frozenset(cid[c] for c in f.final_classes if c in cid)
-
-        self.field_bits = max(1, len(self.state_id).bit_length())
-        east_bits = max(1, len(self.class_id).bit_length())
+        self.field_bits = max(1, table.states.bit_length())
+        east_bits = max(1, table.classes.bit_length())
         self.east_mask = ((1 << east_bits) - 1) << 1
         self.shift0 = 1 + east_bits
         self.moves: dict[tuple[bool, int, int], dict] = {}
@@ -397,9 +429,10 @@ class _Engine:
         if t is None:
             return None
         t = Transition(*t)
-        if t not in self.t_index:
-            raise UnknownTransition(f"transition {t} is not declared")
-        return self.t_index[t]
+        try:
+            return self.t_names.index(t)
+        except ValueError:
+            raise UnknownTransition(f"transition {t} is not declared") from None
 
     def _moves(self, key: tuple[bool, int, int]) -> dict[int | None, list[tuple]]:
         """The moves of one kind of frontier by letter, in canonical order.
@@ -414,15 +447,15 @@ class _Engine:
         out: dict[int | None, list] = {None: []}
         for n in self.init_states if field == 0 else (field - 1,):
             for w in self.init_classes if east == 0 else (east - 1,):
-                for ti in self.by_nw.get((n, w), ()):
+                for letter, e, s, ti in self.leaving[n, w]:
                     if not last:
-                        move = (self.t_south[ti] + 1, (self.t_east[ti] + 1) << 1, ti)
-                    elif self.t_east[ti] in self.fin_classes:
-                        move = (self.t_south[ti] + 1, 0, ti)
+                        move = (s + 1, (e + 1) << 1, ti)
+                    elif e in self.fin_classes:
+                        move = (s + 1, 0, ti)
                     else:
                         continue
                     out[None].append(move)
-                    out.setdefault(self.t_letter[ti], []).append(move)
+                    out.setdefault(letter, []).append(move)
         self.moves[key] = out
         return out
 
@@ -517,20 +550,32 @@ class _Engine:
         useful = self._useful(layers, m, q, track)
         if _START not in useful[0]:
             return
-        names, make = self.letter_names, self.grid
+        names, make, letters = self.letter_names, self.grid, range(len(self.letter_names))
         steps: dict[tuple[int, frozenset[int], int], frozenset[int]] = {}
-
-        def step(p: int, fset: frozenset[int], letter: int) -> frozenset[int]:
-            key = (p, fset, letter)
-            nxt = steps.get(key)
-            if nxt is None:
-                up = useful[p + 1]
-                nxt = steps[key] = frozenset([
-                    nf for nf in self._succ(fset, p % q, q, letter, track) if nf in up])
-            return nxt
-
-        for chosen, _sets in grids.walk(frozenset((_START,)), [range(len(names))] * n, step):
-            yield make([names[li] for li in chosen[r * q:(r + 1) * q]] for r in range(m))
+        # depth first over the cells, one letter iterator per cell on an
+        # explicit stack, so depth is not limited by the recursion limit
+        chosen: list[int] = []
+        sets, tries = [frozenset((_START,))], [iter(letters)]
+        while tries:
+            p = len(tries) - 1
+            for li in tries[p]:
+                key = (p, sets[p], li)
+                nxt = steps.get(key)
+                if nxt is None:
+                    up = useful[p + 1]
+                    nxt = steps[key] = frozenset([
+                        nf for nf in self._succ(sets[p], p % q, q, li, track) if nf in up])
+                if not nxt:
+                    continue
+                chosen[p:] = [li]
+                if p + 1 == n:
+                    yield make([names[c] for c in chosen[r * q:(r + 1) * q]] for r in range(m))
+                else:
+                    sets[p + 1:] = [nxt]
+                    tries.append(iter(letters))
+                    break
+            else:
+                tries.pop()
 
     def accepted(self, max_rows: int, max_cols: int,
                  track: int | None = None) -> Iterator[Grid]:

@@ -4,15 +4,15 @@ A grid is a non-empty rectangular array of letters.  A letter is any
 non-empty token without whitespace, except the reserved border symbol
 ``#`` which only ever appears in the frame added by :func:`border`.
 
-Grid order lives here too: :func:`sizes` lists sizes in canonical order
-and :func:`walk` chooses letters cell by cell in row-major order, so
-both recognizers enumerate their languages in the same order.
+Canonical grid order lives here too: :func:`sizes` lists the sizes in
+the order in which every language, of a system or of a tile system, is
+enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ColumnMismatch,
@@ -108,38 +108,6 @@ def sizes(max_rows: int, max_cols: int) -> list[tuple[int, int]]:
     """Grid sizes within the bounds in canonical order: area, then rows."""
     return sorted(((m, q) for m in range(1, max_rows + 1) for q in range(1, max_cols + 1)),
                   key=lambda mq: (mq[0] * mq[1], mq[0]))
-
-
-def walk(start, choices: Sequence[Sequence], step) -> Iterator[tuple[list, list]]:
-    """Depth-first walk choosing one item per cell, in row-major order.
-
-    ``choices[p]`` lists the items cell ``p`` may take, in the order
-    they are tried; ``step(p, state, item)`` returns the state after
-    cell ``p``, or a falsy one when no completion is possible.  Yields
-    ``(chosen, states)`` for every complete live path, ``states[0]``
-    being ``start``; both lists are reused, so read them before
-    resuming.  The stack is explicit, so depth is not limited by the
-    interpreter's recursion limit.
-    """
-    n = len(choices)
-    chosen: list = []
-    states = [start]
-    stack = [iter(choices[0])]
-    while stack:
-        p = len(stack) - 1
-        before = states[p]
-        for item in stack[p]:
-            state = step(p, before, item)
-            if state:
-                chosen[p:] = [item]
-                states[p + 1:] = [state]
-                if p + 1 == n:
-                    yield chosen, states
-                else:
-                    stack.append(iter(choices[p + 1]))
-                    break
-        else:
-            stack.pop()
 
 
 def v_compose(top: Grid, bottom: Grid) -> Grid:

@@ -6,18 +6,19 @@ a tile of the set.  A tile system adds a projection h from V' onto a
 target alphabet V and recognizes the h-images of a local language.
 Tile systems and finite interactive systems recognize the same grid
 languages; :func:`fis_to_tiles` and :func:`tiles_to_fis` realize the
-two directions of that equivalence.
+two directions of that equivalence.  Searches on a tile system run on
+the frontier engine of :mod:`fiskit.fis` over the system that
+:func:`tiles_to_fis` gives, built only as far as they reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .errors import FormatError, UnknownLetter
-from .fis import FIS, Transition, live_transitions
-from .grids import BORDER, Cells, Grid, border, check_letter, grid_over, sizes, subgrids, walk
+from .fis import FIS, Transition, TransitionTable, live_transitions
+from .grids import BORDER, Grid, border, check_letter, subgrids
 
 Cells2 = tuple[tuple[str, str], tuple[str, str]]
 
@@ -134,107 +135,112 @@ class TileSystem:
                 raise ValueError(f"projection defined on unknown letter {source!r}")
             if out not in targets:
                 raise ValueError(f"projection image {out!r} not in the target alphabet")
+            if h[source] != out:
+                raise ValueError(f"projection maps {source!r} to both {out!r} and {h[source]!r}")
 
     @property
     def h(self) -> dict[str, str]:
         return dict(self.mapping)
 
     @cached_property
-    def _engine(self) -> _TsEngine:
-        """The system compiled once, as for ``FIS._engine``."""
-        return _TsEngine(self)
+    def _engine(self):
+        """The system of :func:`tiles_to_fis` compiled once, as for
+        ``FIS._engine``, its transitions derived on first request."""
+        return _PairTable(self).compile()
 
 
-# ---------------------------------------------------------------------------
-# recognition: frontier search over preimage letters
+class _PairTable(TransitionTable):
+    """The pair-state system of a tile system, numbered for the engine.
 
-class _TsEngine:
-    """Sliding-window propagation over the bordered preimage grid.
+    A cell whose window is the tile ``(nw, ne / sw, se)`` reads the
+    state ``(nw, ne)`` and the class ``(nw, sw)``, emits the class
+    ``(ne, se)`` and the state ``(sw, se)``, and reads ``h(se)``.  The
+    frame makes ``(#, #)`` initial.  Windows the cells miss lie on the
+    east and south frame: a state ``(x, y)`` is final when ``(x, y / #,
+    #)`` is a tile.  A cell of the last column, a closing cell, emits the
+    class ``C(ne, se)``, but only if ``(ne, # / se, #)`` is a tile; no
+    cell reads such a class, and only they are final.  Closing cells
+    read and emit flagged states ``F(..)``, initial as ``F(#, #)``, and
+    a flagged final state also needs the bottom-right corner tile
+    ``(y, # / #, #)``.  Each tile gives at most two transitions.
 
-    Cells of the bordered preimage are chosen in row-major order; a
-    frontier keeps the last (cols + 3) chosen cells, exactly the ones
-    future windows still touch.  When a cell completes a window, the
-    window must be a declared tile; frontiers are deduplicated so whole
-    preimage grids are never enumerated.  One engine serves every search
-    on its system (``TileSystem._engine``); it keeps only the window
-    table, and each search its own frontiers.
+    With ``#`` as 0 and the distinct local letters from 1, ``k`` ids in
+    all, the pair ``(x, y)`` is ``x * k + y``, and a flagged state or a
+    closing class adds ``k * k``.  An entry is derived from the window
+    table on first request (``__missing__``), so searching a large tile
+    system builds only the transitions it reaches.
     """
 
     def __init__(self, ts: TileSystem):
-        self.targets = frozenset(ts.target)
-        self.grid = grid_over(ts.target)
-        self.allowed: dict[tuple[str, str, str], set[str]] = {}
+        local = [BORDER, *dict.fromkeys(ts.local.alphabet)]
+        lid = {a: i for i, a in enumerate(local)}
+        self.quoted = [quote(a) for a in local]
+        tid, h = {a: i for i, a in enumerate(dict.fromkeys(ts.target))}, ts.h
+        self.h = [0] + [tid[h[a]] for a in local[1:]]
+        k = self.k = len(local)
+        kk = self.kk = k * k
+        # (nw, ne, sw) -> se ids, in tuples of ints, which the cyclic
+        # collector stops tracking: a large table slows no later collection
+        windows: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self.windows = windows
+        south, fin_classes = [], []  # tiles on the south frame; final classes
         for (nw, ne), (sw, se) in (t.cells for t in ts.local.delta):
-            self.allowed.setdefault((nw, ne, sw), set()).add(se)
-        self.pre: dict[str, tuple[str, ...]] = {}
-        for source, out in ts.mapping:
-            self.pre[out] = self.pre.get(out, ()) + (source,)
-        # a choice: (target letter or None on the frame, preimage options,
-        # whether the cell completes a window: not in top row or left column)
-        self.letters = tuple((name, self.pre.get(name, ()), True) for name in ts.target)
-        self.opens = ((None, (BORDER,), False),)
-        self.closes = ((None, (BORDER,), True),)
+            nw, ne, sw, se = lid[nw], lid[ne], lid[sw], lid[se]
+            windows[nw, ne, sw] = windows.get((nw, ne, sw), ()) + (se,)
+            if sw == se == 0:
+                south.append((nw, ne))
+            if ne == se == 0:
+                fin_classes.append(kk + nw * k + sw)
+        fin_states = [nw * k + ne for nw, ne in south]
+        fin_states += [kk + nw * k + ne for nw, ne in south if self.has(ne, 0, 0, 0)]
+        super().__init__(tid, 2 * kk, 2 * kk, ((0, kk), (0,)), (fin_states, fin_classes))
 
-    def iter_size(self, m: int, q: int, cells: Cells | None = None) -> Iterator[Grid]:
-        """Grids of the target language, row-major lexicographic order.
+    def has(self, nw: int, ne: int, sw: int, se: int) -> bool:
+        return se in self.windows.get((nw, ne, sw), ())
 
-        With ``cells`` (an m x q array of target letters) given, only
-        that grid is tried, so it is yielded exactly when recognized.
-        """
-        L = q + 3
-        allowed = self.allowed
-        opens, closes = self.opens, self.closes
-        choices = [opens] * (q + 2)
-        for r in range(m):
-            row = ([self.letters] * q if cells is None
-                   else [((a, self.pre.get(a, ()), True),) for a in cells[r]])
-            choices += [opens, *row, closes]
-        choices += [opens] + [closes] * (q + 1)
+    def name(self, pair: int, flag: str) -> str:
+        """``(x,y)`` from quoted letters, with ``flag`` (``F`` for a
+        state, ``C`` for a class) in front when flagged."""
+        x, y = divmod(pair % self.kk, self.k)
+        return f"{flag if pair >= self.kk else ''}({self.quoted[x]},{self.quoted[y]})"
 
-        def step(_p: int, fronts, choice):
-            _name, options, check = choice
-            nxt = set()
-            for f in fronts:
-                if check:
-                    ok = allowed.get((f[0], f[1], f[-1]))
-                    if not ok:
-                        continue
-                    opts = [v for v in options if v in ok]
-                else:
-                    opts = options
-                for v in opts:
-                    nf = f + (v,)
-                    if len(nf) > L:
-                        nf = nf[1:]
-                    nxt.add(nf)
-            return nxt
-
-        make = self.grid
-        for chosen, _states in walk({()}, choices, step):
-            names = [name for name, _, _ in chosen if name is not None]
-            yield make(names[r * q:(r + 1) * q] for r in range(m))
+    def __missing__(self, key: tuple[int, int]) -> list[tuple[int, int, int, int]]:
+        n, w = key
+        k, kk = self.k, self.kk
+        closing = n >= kk
+        nw, ne = divmod(n % kk, k)
+        out = self[key] = []
+        if w >= kk or w // k != nw:
+            return out
+        sw, flag = w % k, kk if closing else 0
+        for se in self.windows.get((nw, ne, sw), ()):
+            if se == 0 or closing and not self.has(ne, 0, se, 0):
+                continue
+            e, s = flag + ne * k + se, flag + sw * k + se
+            out.append((self.h[se], e, s, len(self.names)))
+            self.names.append(Transition(self.name(n, "F"), self.name(w, "C"),
+                                         self.alphabet[self.h[se]],
+                                         self.name(e, "C"), self.name(s, "F")))
+        return out
 
 
 def ts_recognize(ts: TileSystem, w: Grid) -> bool:
-    """Whether some preimage of ``w`` lies in the local language.
-
-    Preimage letters are chosen cell by cell inside the window
-    propagation; equivalent to, but far cheaper than, enumerating the
-    preimage grids wholesale.
-    """
+    """Whether some preimage of ``w`` lies in the local language: the
+    depth-first search of ``recognize`` on the system of
+    :func:`tiles_to_fis`, so preimage letters are chosen cell by cell
+    and whole preimage grids are never enumerated."""
     eng = ts._engine
     for row in w.cells:
         for cell in row:
-            if cell not in eng.targets:
+            if cell not in eng.letter_id:
                 raise UnknownLetter(f"letter {cell!r} is not in the target alphabet")
-    return next(eng.iter_size(w.rows, w.cols, w.cells), None) is not None
+    return eng.scenario(w, None) is not None
 
 
 def ts_language(ts: TileSystem, max_rows: int, max_cols: int) -> list[Grid]:
     """All recognized grids within bounds, in canonical order
     (area, then rows, then row-major letter order)."""
-    eng = ts._engine
-    return [w for m, q in sizes(max_rows, max_cols) for w in eng.iter_size(m, q)]
+    return list(ts._engine.accepted(max_rows, max_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -309,57 +315,31 @@ def fis_to_tiles(f: FIS) -> TileSystem:
 
 
 def tiles_to_fis(ts: TileSystem) -> FIS:
-    """A system recognizing the same language as ``ts``.
-
-    States and classes are the tiles themselves.  A cell whose window
-    is T emits the windows one step east and one step south; matching
-    those emissions against the neighbours' windows reproduces the
-    window discipline, and tiles showing the frame on an outer side
-    become the initial and final sets.  A transition whose emissions
-    close both final borders must additionally find the bottom-right
-    corner window in the tile set, which no neighbour would otherwise
-    check.
-    """
-    delta = ts.local.delta
-    h = ts.h
-    tok = {t: t.token() for t in delta}
-    tile_set = set(delta)
-
-    init_states = tuple(tok[t] for t in delta if (t.nw, t.ne) == (BORDER, BORDER))
-    init_classes = tuple(tok[t] for t in delta if (t.nw, t.sw) == (BORDER, BORDER))
-    fin_states = tuple(tok[t] for t in delta if (t.sw, t.se) == (BORDER, BORDER))
-    fin_classes = tuple(tok[t] for t in delta if (t.ne, t.se) == (BORDER, BORDER))
-
-    east_of: dict[tuple[str, str], list[Tile]] = {}
-    south_of: dict[tuple[str, str], list[Tile]] = {}
-    for t in delta:
-        east_of.setdefault((t.nw, t.sw), []).append(t)
-        south_of.setdefault((t.nw, t.ne), []).append(t)
-
-    trans: list[Transition] = []
-    for t in delta:
-        if t.se == BORDER:
-            continue
-        letter = h[t.se]
-        corner_window = _tile(t.se, BORDER, BORDER, BORDER)
-        for e in east_of.get((t.ne, t.se), ()):
-            for s in south_of.get((t.sw, t.se), ()):
-                closes_final = (e.ne, e.se) == (BORDER, BORDER) and \
-                    (s.sw, s.se) == (BORDER, BORDER)
-                if closes_final and corner_window not in tile_set:
-                    continue
-                trans.append(Transition(tok[t], tok[t], letter, tok[e], tok[s]))
-
-    names = tuple(tok[t] for t in delta)
+    """A system recognizing the same language as ``ts``: the pair-state
+    construction of Giammarresi and Restivo, spelled out in
+    :class:`_PairTable`.  A state is a pair of local letters side by
+    side, a class a pair one above the other, named ``(x,y)``,
+    ``F(x,y)`` or ``C(x,y)`` from letters quoted by :func:`quote`.
+    Searches on ``ts`` run on this system without building it whole."""
+    table = _PairTable(ts)
+    k, kk = table.k, table.kk
+    for nw, ne, sw in table.windows:
+        for north in (nw * k + ne, kk + nw * k + ne):
+            table[north, nw * k + sw]
+    trans = tuple(table.names)
+    init_s, fin_s = (tuple(table.name(i, "F") for i in ids)
+                     for ids in (table.initial_states, table.final_states))
+    init_c, fin_c = (tuple(table.name(i, "C") for i in ids)
+                     for ids in (table.initial_classes, table.final_classes))
     return FIS(
-        alphabet=ts.target,
-        states=names,
-        classes=names,
-        transitions=tuple(trans),
-        initial_states=init_states,
-        initial_classes=init_classes,
-        final_states=fin_states,
-        final_classes=fin_classes,
+        alphabet=tuple(table.alphabet),
+        states=tuple(dict.fromkeys([*init_s, *fin_s, *(x for t in trans for x in (t.north, t.south))])),
+        classes=tuple(dict.fromkeys([*init_c, *fin_c, *(x for t in trans for x in (t.west, t.east))])),
+        transitions=trans,
+        initial_states=init_s,
+        initial_classes=init_c,
+        final_states=fin_s,
+        final_classes=fin_c,
     )
 
 

@@ -18,6 +18,7 @@ from fiskit.errors import InvalidLetter
 from fiskit.fis import (
     FIS,
     Transition,
+    TransitionTable,
     _Engine,
     check_scenario,
     enumerate_language,
@@ -109,7 +110,7 @@ def test_language_at_field_width_boundaries(n_states, n_classes):
 
 def test_profile_wider_than_a_machine_word():
     f, g = make_f1(), diagonal(70)
-    eng = _Engine(f)
+    eng = f._engine
     assert eng.shift0 + g.cols * eng.field_bits > 64
     sc = recognize(f, g)
     assert sc is not None and check_scenario(f, sc) == []
@@ -219,9 +220,9 @@ def test_each_system_is_compiled_once(monkeypatch):
     built = []
     init = _Engine.__init__
 
-    def counting_init(self, f):
-        built.append(f)
-        init(self, f)
+    def counting_init(self, table):
+        built.append(table)
+        init(self, table)
 
     monkeypatch.setattr(_Engine, "__init__", counting_init)
     f, g = make_f1(), diagonal(3)
@@ -230,7 +231,7 @@ def test_each_system_is_compiled_once(monkeypatch):
     assert recognize_with_transition(f, g, probe) is not None
     assert first_accepted(f, 3, 3, using=probe)[0] == diagonal(2)
     assert list(iter_accepted(f, 3, 3)) == [diagonal(1), diagonal(2), g]
-    assert built == [f]
+    assert built == [TransitionTable.of(f)]
 
 
 def test_a_warm_engine_answers_as_a_fresh_one():
@@ -244,7 +245,7 @@ def test_a_warm_engine_answers_as_a_fresh_one():
         head = next(partial, None)
         # searches stopped early leave nothing but moves on the engine
         tables = {k: v for k, v in vars(eng).items() if k != "moves"}
-        assert tables == {k: v for k, v in vars(_Engine(f)).items() if k != "moves"}
+        assert tables == {k: v for k, v in vars(TransitionTable.of(f).compile()).items() if k != "moves"}
         assert first == first_accepted(fresh(), 2, 3)
         lang = enumerate_language(f, 2, 3)
         assert lang == enumerate_language(fresh(), 2, 3)

@@ -11,14 +11,24 @@ from hypothesis import strategies as st
 import oracles
 from conftest import diagonal, make_f1, make_trivial
 from generators import random_fis, random_tile_system
+from fiskit import cli
 from fiskit.errors import FormatError, InvalidLetter, UnknownLetter
-from fiskit.fis import FIS, Transition, enumerate_language, recognize
-from fiskit.grids import BORDER, grid
+from fiskit.fis import (
+    FIS,
+    Transition,
+    TransitionTable,
+    _Engine,
+    check_scenario,
+    enumerate_language,
+    recognize,
+    validate,
+)
+from fiskit.grids import BORDER, border, grid, sizes, subgrids
 from fiskit.tiles import (
     LocalLanguage,
     Tile,
     TileSystem,
-    _TsEngine,
+    _PairTable,
     fis_to_tiles,
     format_tiles,
     local_member,
@@ -228,7 +238,10 @@ def test_tiles_to_fis_matches_oracle_with_punctuated_letters():
     for i in range(200):
         ts = random_tile_system(rng, sources=("p", "p,p", "p/p"))
         f = tiles_to_fis(ts)
-        assert len(set(f.states)) == len(ts.local.delta), i
+        assert validate(f) == [], i
+        table = _PairTable(ts)
+        for flag in "FC":  # distinct pairs get distinct names
+            assert len({table.name(p, flag) for p in range(2 * table.kk)}) == 2 * table.kk, i
         delta = {t.cells for t in ts.local.delta}
         for g in oracles.all_grids(ts.target, 2, 2):
             want = oracles.ts_accepts_by_preimages(
@@ -289,16 +302,87 @@ def test_ts_recognize_deep_grid():
 
 def test_each_tile_system_is_compiled_once(monkeypatch):
     built = []
-    init = _TsEngine.__init__
+    init = _Engine.__init__
 
-    def counting_init(self, ts):
-        built.append(ts)
-        init(self, ts)
+    def counting_init(self, table):
+        built.append(table)
+        init(self, table)
 
-    monkeypatch.setattr(_TsEngine, "__init__", counting_init)
+    monkeypatch.setattr(_Engine, "__init__", counting_init)
     f = make_f1()
     ts = fis_to_tiles(f)
     for n in range(1, 6):
         assert ts_recognize(ts, diagonal(n))
     assert ts_language(ts, 3, 3) == enumerate_language(f, 3, 3)
-    assert built == [ts]
+    # one engine for the tile system, then one for f
+    assert [type(table) for table in built] == [_PairTable, TransitionTable]
+    assert ts._engine.leaving is built[0]
+
+
+@pytest.mark.parametrize("sources", [("p", "q", "r"), ("p", "p,p", "p/p")],
+                         ids=["default", "punctuated"])
+def test_tile_engine_scenarios_replay_on_tiles_to_fis(sources):
+    # the engine derives the transitions of tiles_to_fis on request, so
+    # it finds the same canonical scenario, and the eager system replays it
+    rng = random.Random(918)
+    accepted = 0
+    for i in range(60):
+        ts = random_tile_system(rng, sources=sources)
+        f = tiles_to_fis(ts)
+        delta = {t.cells for t in ts.local.delta}
+        for m, q in sizes(2, 2):
+            for g in oracles.all_grids(ts.target, m, q):
+                sc = ts._engine.scenario(g, None)
+                want = oracles.ts_accepts_by_preimages(
+                    ts.local.alphabet, dict(ts.mapping), delta, g)
+                assert (sc is not None) == want, (i, g.cells)
+                if sc is not None:
+                    assert check_scenario(f, sc) == [], (i, g.cells)
+                    assert sc == recognize(f, g), (i, g.cells)
+                    accepted += 1
+    assert accepted >= 50
+
+
+def test_conflicting_map_lines_are_rejected(tmp_path, capsys):
+    ll = LocalLanguage(alphabet=("v",), delta=corner_tiles("v"))
+    with pytest.raises(ValueError):
+        TileSystem(local=ll, target=("x", "y"), mapping=(("v", "x"), ("v", "y")))
+    # the same entry twice is no conflict
+    TileSystem(local=ll, target=("x",), mapping=(("v", "x"), ("v", "x")))
+    text = format_tiles(TileSystem(local=ll, target=("x", "y"), mapping=(("v", "x"),)))
+    text += "map: v y\n"
+    with pytest.raises(FormatError):
+        parse_tiles(text)
+    path = tmp_path / "conflict.tiles"
+    path.write_text(text)
+    assert cli.main(["convert", "--tiles", str(path), "--to", "fis",
+                     "--out", str(tmp_path / "out.fis")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def oracle_language(ts: TileSystem, max_rows: int, max_cols: int) -> list:
+    delta = {t.cells for t in ts.local.delta}
+    return [g for m, q in sizes(max_rows, max_cols)
+            for g in oracles.all_grids(list(dict.fromkeys(ts.target)), m, q)
+            if oracles.ts_accepts_by_preimages(ts.local.alphabet, dict(ts.mapping), delta, g)]
+
+
+def test_repeated_target_letters_list_each_grid_once():
+    ts = parse_tiles("alphabet: v\ntarget: x x\nmap: v x\n" + "".join(
+        f"tile: {t.nw} {t.ne} / {t.sw} {t.se}\n" for t in corner_tiles("v")))
+    assert ts_language(ts, 2, 2) == oracle_language(ts, 2, 2) == [grid(["x"])]
+    assert ts_language(ts, 2, 2) == enumerate_language(tiles_to_fis(ts), 2, 2)
+
+
+def test_repeated_local_letters_are_one_letter():
+    # the windows of the grid v w / v w: its language is every grid whose rows are all v w
+    text = "alphabet: v w v\ntarget: x y\nmap: v x\nmap: w y\n"
+    g = grid([["v", "w"], ["v", "w"]])
+    for window in dict.fromkeys(subgrids(border(g), 2, 2)):
+        (nw, ne), (sw, se) = window
+        text += f"tile: {nw} {ne} / {sw} {se}\n"
+    ts = parse_tiles(text)
+    assert ts_language(ts, 3, 3) == oracle_language(ts, 3, 3)
+    assert ts_language(ts, 3, 3) == enumerate_language(tiles_to_fis(ts), 3, 3)
+    assert ts_recognize(ts, grid([["x", "y"]]))
+    assert not ts_recognize(ts, grid([["y", "x"]]))
