@@ -10,6 +10,7 @@ from fiskit import (
     fis_to_tiles,
     format_grid,
     parse_fis,
+    tile_token,
     tiles_to_fis,
     ts_language,
     ts_recognize,
@@ -26,7 +27,7 @@ print("tiles:", len(ts.local.delta))
 
 # a few of them: the all-border tile, a corner, an interior tile
 for t in (ts.local.delta[0], ts.local.delta[1], ts.local.delta[-1]):
-    print(" ", t.token())
+    print(" ", tile_token(t))
 
 # the tile system accepts exactly the grids the system does
 want = enumerate_language(f, 3, 3)

@@ -79,6 +79,7 @@ from .tiles import (
     parse_tiles,
     quote,
     tile,
+    tile_token,
     tiles_to_fis,
     ts_language,
     ts_recognize,

@@ -2,8 +2,11 @@
 
 A local language over an alphabet V' is given by a set of 2x2 tiles;
 a grid belongs to it when every 2x2 window of its bordered version is
-a tile of the set.  A tile system adds a projection h from V' onto a
-target alphabet V and recognizes the h-images of a local language.
+a tile of the set.  A tile is the plain tuple ``((nw, ne), (sw, se))``
+of its letters, the border symbol permitted, and :func:`tile_token`
+names it; :class:`LocalLanguage` is where tiles enter and are checked.
+A tile system adds a projection h from V' onto a target alphabet V and
+recognizes the h-images of a local language.
 Tile systems and finite interactive systems recognize the same grid
 languages; :func:`fis_to_tiles` and :func:`tiles_to_fis` realize the
 two directions of that equivalence.  Searches on a tile system run on
@@ -15,50 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import FormatError, UnknownLetter
 from .fis import FIS, Transition, TransitionTable, live_transitions
 from .grids import BORDER, Grid, border, check_letter, subgrids
 
-Cells2 = tuple[tuple[str, str], tuple[str, str]]
-
-
-@dataclass(frozen=True)
-class Tile:
-    """A 2x2 array of letters, the border symbol permitted."""
-
-    cells: Cells2
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(tuple(r) for r in self.cells))
-        if len(self.cells) != 2 or any(len(r) != 2 for r in self.cells):
-            raise ValueError("tiles are 2x2")
-        for row in self.cells:
-            for cell in row:
-                if cell != BORDER:
-                    check_letter(cell)
-
-    @property
-    def nw(self) -> str:
-        return self.cells[0][0]
-
-    @property
-    def ne(self) -> str:
-        return self.cells[0][1]
-
-    @property
-    def sw(self) -> str:
-        return self.cells[1][0]
-
-    @property
-    def se(self) -> str:
-        return self.cells[1][1]
-
-    def token(self) -> str:
-        """A whitespace-free name usable as a state or class, distinct
-        for distinct tiles."""
-        nw, ne, sw, se = map(quote, (self.nw, self.ne, self.sw, self.se))
-        return f"[{nw},{ne}/{sw},{se}]"
+# a 2x2 array of letters ((nw, ne), (sw, se)), the border symbol
+# permitted; the cyclic collector stops tracking tuples of strings, so
+# a large tile set adds no work to later collections
+Tile = tuple[tuple[str, str], tuple[str, str]]
 
 
 def quote(name: str) -> str:
@@ -68,16 +37,18 @@ def quote(name: str) -> str:
 
 
 def tile(nw: str, ne: str, sw: str, se: str) -> Tile:
-    return Tile(((nw, ne), (sw, se)))
+    """The tile ``nw ne / sw se``, its letters checked."""
+    for cell in (nw, ne, sw, se):
+        if cell != BORDER:
+            check_letter(cell)
+    return (nw, ne), (sw, se)
 
 
-def _tile(nw: str, ne: str, sw: str, se: str) -> Tile:
-    """:func:`tile` without the letter check, for letters already
-    checked: a :class:`LocalLanguage` checks its alphabet and that every
-    tile letter is in it or is the border symbol."""
-    t = object.__new__(Tile)
-    object.__setattr__(t, "cells", ((nw, ne), (sw, se)))
-    return t
+def tile_token(t: Tile) -> str:
+    """A whitespace-free name for ``t`` usable as a state or class,
+    distinct for distinct tiles."""
+    (nw, ne), (sw, se) = t
+    return f"[{quote(nw)},{quote(ne)}/{quote(sw)},{quote(se)}]"
 
 
 @dataclass(frozen=True)
@@ -91,14 +62,17 @@ class LocalLanguage:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         for a in self.alphabet:  # a local letter "#" would pass for the frame
             check_letter(a)
-        object.__setattr__(self, "delta", tuple(dict.fromkeys(
-            t if isinstance(t, Tile) else Tile(t) for t in self.delta)))
-        ok = set(self.alphabet) | {BORDER}
-        for t in self.delta:
-            for row in t.cells:
-                for cell in row:
-                    if cell not in ok:
-                        raise ValueError(f"tile letter {cell!r} not in the alphabet")
+        try:  # tiles already 2x2 tuples are kept, not copied
+            delta = tuple(dict.fromkeys(
+                t if type(t) is type(t[0]) is type(t[1]) is tuple else ((nw, ne), (sw, se))
+                for t in self.delta for (nw, ne), (sw, se) in [t]))
+        except (TypeError, ValueError):
+            raise ValueError("tiles are 2x2") from None
+        object.__setattr__(self, "delta", delta)
+        rows = set(chain.from_iterable(delta))  # tiles share rows: fewer to read
+        if bad := set(chain.from_iterable(rows)) - {*self.alphabet, BORDER}:
+            cell = next(c for t in delta for row in t for c in row if c in bad)
+            raise ValueError(f"tile letter {cell!r} not in the alphabet")
 
 
 def local_member(ll: LocalLanguage, w: Grid) -> bool:
@@ -109,8 +83,7 @@ def local_member(ll: LocalLanguage, w: Grid) -> bool:
             if cell not in known:
                 raise UnknownLetter(f"letter {cell!r} is not in the alphabet")
     windows = set(subgrids(border(w), 2, 2))
-    tiles = {t.cells for t in ll.delta}
-    return windows <= tiles
+    return windows <= set(ll.delta)
 
 
 @dataclass(frozen=True)
@@ -184,7 +157,7 @@ class _PairTable(TransitionTable):
         windows: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self.windows = windows
         south, fin_classes = [], []  # tiles on the south frame; final classes
-        for (nw, ne), (sw, se) in (t.cells for t in ts.local.delta):
+        for (nw, ne), (sw, se) in ts.local.delta:
             nw, ne, sw, se = lid[nw], lid[ne], lid[sw], lid[se]
             windows[nw, ne, sw] = windows.get((nw, ne, sw), ()) + (se,)
             if sw == se == 0:
@@ -264,48 +237,49 @@ def fis_to_tiles(f: FIS) -> TileSystem:
     fin_s = set(f.final_states)
     fin_c = set(f.final_classes)
 
-    delta: list[Tile] = [_tile(BORDER, BORDER, BORDER, BORDER)]
-    pairs = list(zip(tokens, ts_list))
+    # transitions by the class they read and by the state they read, in
+    # transition order; rows[i][k] is the tile row of transitions i and k
+    # side by side, built once and shared by every tile showing it
+    right: dict[str, list[int]] = {}
+    below: dict[str, list[int]] = {}
+    for k, t in enumerate(ts_list):
+        right.setdefault(t.west, []).append(k)
+        below.setdefault(t.north, []).append(k)
+    rows = [{k: (tok, tokens[k]) for k in right.get(t.east, ())}
+            for tok, t in zip(tokens, ts_list)]
+    pairs = list(enumerate(ts_list))
 
-    for tok, t in pairs:  # north-west corner
-        if t.north in ini_s and t.west in ini_c:
-            delta.append(_tile(BORDER, BORDER, BORDER, tok))
-    for tok, t in pairs:  # north-east corner
-        if t.north in ini_s and t.east in fin_c:
-            delta.append(_tile(BORDER, BORDER, tok, BORDER))
-    for tok, t in pairs:  # south-west corner
-        if t.west in ini_c and t.south in fin_s:
-            delta.append(_tile(BORDER, tok, BORDER, BORDER))
-    for tok, t in pairs:  # south-east corner
-        if t.south in fin_s and t.east in fin_c:
-            delta.append(_tile(tok, BORDER, BORDER, BORDER))
+    BB = (BORDER, BORDER)
+    delta: list[Tile] = [(BB, BB)]
+    delta += [(BB, (BORDER, tokens[i])) for i, t in pairs  # north-west corner
+              if t.north in ini_s and t.west in ini_c]
+    delta += [(BB, (tokens[i], BORDER)) for i, t in pairs  # north-east corner
+              if t.north in ini_s and t.east in fin_c]
+    delta += [((BORDER, tokens[i]), BB) for i, t in pairs  # south-west corner
+              if t.west in ini_c and t.south in fin_s]
+    delta += [((tokens[i], BORDER), BB) for i, t in pairs  # south-east corner
+              if t.south in fin_s and t.east in fin_c]
 
-    for tok1, t1 in pairs:  # north edge
-        for tok2, t2 in pairs:
-            if t1.north in ini_s and t2.north in ini_s and t1.east == t2.west:
-                delta.append(_tile(BORDER, BORDER, tok1, tok2))
-    for tok1, t1 in pairs:  # west edge
-        for tok2, t2 in pairs:
-            if t1.west in ini_c and t2.west in ini_c and t1.south == t2.north:
-                delta.append(_tile(BORDER, tok1, BORDER, tok2))
-    for tok1, t1 in pairs:  # east edge
-        for tok2, t2 in pairs:
-            if t1.east in fin_c and t2.east in fin_c and t1.south == t2.north:
-                delta.append(_tile(tok1, BORDER, tok2, BORDER))
-    for tok1, t1 in pairs:  # south edge
-        for tok2, t2 in pairs:
-            if t1.south in fin_s and t2.south in fin_s and t1.east == t2.west:
-                delta.append(_tile(tok1, tok2, BORDER, BORDER))
+    delta += [(BB, rows[i][k]) for i, t in pairs if t.north in ini_s  # north edge
+              for k in right.get(t.east, ()) if ts_list[k].north in ini_s]
+    delta += [((BORDER, tokens[i]), (BORDER, tokens[j]))  # west edge
+              for i, t in pairs if t.west in ini_c
+              for j in below.get(t.south, ()) if ts_list[j].west in ini_c]
+    delta += [((tokens[i], BORDER), (tokens[j], BORDER))  # east edge
+              for i, t in pairs if t.east in fin_c
+              for j in below.get(t.south, ()) if ts_list[j].east in fin_c]
+    delta += [(rows[i][k], BB) for i, t in pairs if t.south in fin_s  # south edge
+              for k in right.get(t.east, ()) if ts_list[k].south in fin_s]
 
     # interior: left column pairs against compatible right column pairs
-    verticals = [(i, j) for i, (_, a) in enumerate(pairs)
-                 for j, (_, b) in enumerate(pairs) if a.south == b.north]
+    verticals = [(i, j) for i, t in pairs for j in below.get(t.south, ())]
     by_wests: dict[tuple[str, str], list[tuple[int, int]]] = {}
     for i, j in verticals:
         by_wests.setdefault((ts_list[i].west, ts_list[j].west), []).append((i, j))
     for i, j in verticals:
-        for k, l in by_wests.get((ts_list[i].east, ts_list[j].east), ()):
-            delta.append(_tile(tokens[i], tokens[k], tokens[j], tokens[l]))
+        top, bottom = rows[i], rows[j]
+        delta += [(top[k], bottom[l])
+                  for k, l in by_wests.get((ts_list[i].east, ts_list[j].east), ())]
 
     return TileSystem(
         local=LocalLanguage(alphabet=tuple(tokens), delta=tuple(delta)),
@@ -377,7 +351,7 @@ def parse_tiles(text: str) -> TileSystem:
         elif key == "tile":
             if len(tokens) != 5 or tokens[2] != "/":
                 raise FormatError(f"line {lineno}: tile needs 'p q / r s'")
-            tiles_.append(tile(tokens[0], tokens[1], tokens[3], tokens[4]))
+            tiles_.append(((tokens[0], tokens[1]), (tokens[3], tokens[4])))
         else:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
     try:
@@ -395,5 +369,5 @@ def format_tiles(ts: TileSystem) -> str:
     lines = ["alphabet: " + " ".join(ts.local.alphabet),
              "target: " + " ".join(ts.target)]
     lines += [f"map: {a} {b}" for a, b in ts.mapping]
-    lines += [f"tile: {t.nw} {t.ne} / {t.sw} {t.se}" for t in ts.local.delta]
+    lines += [f"tile: {nw} {ne} / {sw} {se}" for (nw, ne), (sw, se) in ts.local.delta]
     return "\n".join(lines) + "\n"

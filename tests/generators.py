@@ -53,7 +53,7 @@ def random_tile_system(rng: random.Random, sources=("p", "q", "r"),
         m, q = rng.randint(1, 2), rng.randint(1, 2)
         g = grid([[rng.choice(sources) for _ in range(q)] for _ in range(m)])
         for window in subgrids(border(g), 2, 2):
-            t = Tile(window)
+            t = tuple(window)
             if t not in seen:
                 seen.add(t)
                 tiles.append(t)
@@ -63,7 +63,7 @@ def random_tile_system(rng: random.Random, sources=("p", "q", "r"),
         else:
             cells = tuple(tuple(rng.choice(sources + (BORDER,)) for _ in range(2))
                           for _ in range(2))
-            t = Tile(cells)
+            t = tuple(cells)
             if t not in seen:
                 seen.add(t)
                 tiles.append(t)

@@ -173,7 +173,7 @@ def _criterion_8() -> str:
         digest.update(f"fis {i}: {[w.cells for w in lang_f]}\n".encode())
         # per-grid agreement with the independent preimage oracle on the
         # small sizes: both languages above come from one engine
-        delta = {t.cells for t in ts.local.delta}
+        delta = set(ts.local.delta)
         for g in oracles.all_grids(f.alphabet, 2, 2):
             want = recognize(f, g) is not None
             assert ts_recognize(ts, g) == want
@@ -189,7 +189,7 @@ def _criterion_8() -> str:
         lang_f = enumerate_language(back, 3, 3)
         assert lang_t == lang_f, i
         digest.update(f"tiles {i}: {[w.cells for w in lang_t]}\n".encode())
-        delta = {t.cells for t in ts.local.delta}
+        delta = set(ts.local.delta)
         for g in oracles.all_grids(ts.target, 2, 2):
             want = oracles.ts_accepts_by_preimages(
                 ts.local.alphabet, dict(ts.mapping), delta, g)

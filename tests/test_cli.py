@@ -7,6 +7,7 @@ import pytest
 from conftest import diagonal, make_f1, make_trivial
 from fiskit import analysis, cli
 from fiskit.analysis import SearchBounds, bounded_emptiness
+from fiskit.errors import FormatError
 from fiskit.fis import format_fis, parse_fis, recognize, render_scenario
 from fiskit.grids import format_grid, grid, parse_grid
 from fiskit.pcp import (
@@ -149,6 +150,17 @@ def test_convert_flag_mismatch_is_an_error(files, capsys, tmp_path):
     assert cli.main(["convert", "--fis", f1_path, "--to", "fis",
                      "--out", out]) == 2
     assert cli.main(["convert", "--to", "tiles", "--out", out]) == 2
+
+
+def test_convert_rejects_a_tile_letter_outside_the_alphabet(files, capsys, tmp_path):
+    text = "alphabet: v\ntarget: x\nmap: v x\ntile: # # / # w\n"
+    with pytest.raises(FormatError):
+        parse_tiles(text)
+    path = files("bad.tiles", text)
+    assert cli.main(["convert", "--tiles", path, "--to", "fis",
+                     "--out", str(tmp_path / "out.fis")]) == 2
+    assert capsys.readouterr().err == "error: tile letter 'w' not in the alphabet\n"
+    assert not (tmp_path / "out.fis").exists()
 
 
 def test_check_structure(files, capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +23,12 @@ from fiskit.fis import (
     _Engine,
     check_scenario,
     enumerate_language,
+    parse_fis,
     recognize,
     validate,
 )
 from fiskit.grids import BORDER, border, grid, sizes, subgrids
+from fiskit.pcp import PcpInstance, compile_pcp
 from fiskit.tiles import (
     LocalLanguage,
     Tile,
@@ -35,12 +40,16 @@ from fiskit.tiles import (
     parse_tiles,
     quote,
     tile,
+    tile_token,
     tiles_to_fis,
     ts_language,
     ts_recognize,
 )
 
 B = BORDER
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+# the largest conversion of the benchmark: 32,567 tiles
+P_BIG = PcpInstance(x=("a", "ab", "bba"), y=("baa", "aa", "bb"))
 
 
 def corner_tiles(v: str) -> tuple[Tile, ...]:
@@ -56,10 +65,8 @@ def single_cell() -> TileSystem:
 
 def test_tile_shape_and_token():
     t = tile(B, "a", "b", B)
-    assert (t.nw, t.ne, t.sw, t.se) == (B, "a", "b", B)
-    assert t.token() == "[#,a/b,#]"
-    with pytest.raises(ValueError):
-        Tile((("a",), ("b",)))
+    assert t == ((B, "a"), ("b", B))
+    assert tile_token(t) == "[#,a/b,#]"
     with pytest.raises(InvalidLetter):
         tile("a", "b c", "d", "e")
 
@@ -68,23 +75,36 @@ def test_quote_escapes_the_token_separators():
     assert quote("a") == "a"
     assert quote("a,b/c\\d") == "a\\,b\\/c\\\\d"
     # the escape itself is escaped, so "a\\" + "," differs from "a" + "\\,"
-    assert tile("a\\", "b", "c", "d").token() != tile("a", "\\b", "c", "d").token()
+    assert tile_token(tile("a\\", "b", "c", "d")) != tile_token(tile("a", "\\b", "c", "d"))
 
 
 def test_tile_tokens_are_injective():
-    assert tile("a,b", "c", "d", "e").token() != tile("a", "b,c", "d", "e").token()
-    assert tile("a", "b/c", "d", "e").token() != tile("a", "b", "c/d", "e").token()
+    assert tile_token(tile("a,b", "c", "d", "e")) != tile_token(tile("a", "b,c", "d", "e"))
+    assert tile_token(tile("a", "b/c", "d", "e")) != tile_token(tile("a", "b", "c/d", "e"))
 
 
 def test_local_language_dedups_and_checks_letters():
     t = tile(B, B, B, "v")
-    ll = LocalLanguage(alphabet=("v",), delta=(t, t))
+    # nested lists are the same tile as nested tuples
+    ll = LocalLanguage(alphabet=("v",), delta=(t, [[B, B], [B, "v"]], t))
     assert ll.delta == (t,)
     with pytest.raises(ValueError):
         LocalLanguage(alphabet=("v",), delta=(tile(B, B, B, "w"),))
+    with pytest.raises(ValueError):
+        LocalLanguage(alphabet=("v",), delta=(t, ((B, "v"), (B, "w"))))
     # a local letter spelled like the border would stand in for the frame
     with pytest.raises(InvalidLetter):
         LocalLanguage(alphabet=(B,), delta=(tile(B, B, B, B),))
+
+
+@pytest.mark.parametrize("cells", [
+    (("v", "v"),),
+    (("v",), ("v",)),
+    (("v", "v", "v"), ("v", "v", "v")),
+], ids=["1x2", "2x1", "2x3"])
+def test_local_language_rejects_tiles_not_2x2(cells):
+    with pytest.raises(ValueError):
+        LocalLanguage(alphabet=("v",), delta=(tile(B, B, B, "v"), cells))
 
 
 def test_conversion_checks_letters_of_unvalidated_systems():
@@ -187,7 +207,7 @@ def test_fis_to_tiles_matches_oracle_on_random_systems():
     for _ in range(20):
         f = random_fis(rng)
         ts = fis_to_tiles(f)
-        delta = {t.cells for t in ts.local.delta}
+        delta = set(ts.local.delta)
         for g in oracles.all_grids(f.alphabet, 2, 2):
             want = oracles.accepts(f, g)
             assert ts_recognize(ts, g) == want
@@ -200,7 +220,7 @@ def test_tiles_to_fis_matches_oracle_on_random_systems():
     for _ in range(20):
         ts = random_tile_system(rng)
         f = tiles_to_fis(ts)
-        delta = {t.cells for t in ts.local.delta}
+        delta = set(ts.local.delta)
         for g in oracles.all_grids(ts.target, 2, 2):
             want = oracles.ts_accepts_by_preimages(
                 ts.local.alphabet, dict(ts.mapping), delta, g)
@@ -242,7 +262,7 @@ def test_tiles_to_fis_matches_oracle_with_punctuated_letters():
         table = _PairTable(ts)
         for flag in "FC":  # distinct pairs get distinct names
             assert len({table.name(p, flag) for p in range(2 * table.kk)}) == 2 * table.kk, i
-        delta = {t.cells for t in ts.local.delta}
+        delta = set(ts.local.delta)
         for g in oracles.all_grids(ts.target, 2, 2):
             want = oracles.ts_accepts_by_preimages(
                 ts.local.alphabet, dict(ts.mapping), delta, g)
@@ -270,6 +290,28 @@ def test_text_round_trip(single_cell):
     text = format_tiles(single_cell)
     assert parse_tiles(text) == single_cell
     assert format_tiles(parse_tiles(text)) == text
+
+
+def test_conversion_bytes_are_pinned():
+    text = format_tiles(fis_to_tiles(compile_pcp(P_BIG)))
+    assert text.count("\n") == 32810
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3ed8f762ce90a0b0af1f386040d08dd0912c4d6083557c6b05ce355cf0eb4a6e")
+    text = format_tiles(fis_to_tiles(parse_fis((DATA / "diagonal.fis").read_text())))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a628e08d3fc8f40a1869ebdb52b98f5ac99c95980d66f69f9c640ab867611213")
+
+
+def test_conversion_leaves_the_cyclic_collector_nothing_to_track():
+    # tiles are tuples of strings, which the collector stops tracking,
+    # so a large tile set adds no work to any later collection
+    f = compile_pcp(P_BIG)
+    gc.collect()
+    before = len(gc.get_objects())
+    ts = fis_to_tiles(f)
+    gc.collect()
+    assert len(ts.local.delta) == 32567
+    assert len(gc.get_objects()) - before < 1000
 
 
 def test_parse_rejects_malformed():
@@ -329,7 +371,7 @@ def test_tile_engine_scenarios_replay_on_tiles_to_fis(sources):
     for i in range(60):
         ts = random_tile_system(rng, sources=sources)
         f = tiles_to_fis(ts)
-        delta = {t.cells for t in ts.local.delta}
+        delta = set(ts.local.delta)
         for m, q in sizes(2, 2):
             for g in oracles.all_grids(ts.target, m, q):
                 sc = ts._engine.scenario(g, None)
@@ -361,7 +403,7 @@ def test_conflicting_map_lines_are_rejected(tmp_path, capsys):
 
 
 def oracle_language(ts: TileSystem, max_rows: int, max_cols: int) -> list:
-    delta = {t.cells for t in ts.local.delta}
+    delta = set(ts.local.delta)
     return [g for m, q in sizes(max_rows, max_cols)
             for g in oracles.all_grids(list(dict.fromkeys(ts.target)), m, q)
             if oracles.ts_accepts_by_preimages(ts.local.alphabet, dict(ts.mapping), delta, g)]
@@ -369,7 +411,7 @@ def oracle_language(ts: TileSystem, max_rows: int, max_cols: int) -> list:
 
 def test_repeated_target_letters_list_each_grid_once():
     ts = parse_tiles("alphabet: v\ntarget: x x\nmap: v x\n" + "".join(
-        f"tile: {t.nw} {t.ne} / {t.sw} {t.se}\n" for t in corner_tiles("v")))
+        f"tile: {nw} {ne} / {sw} {se}\n" for (nw, ne), (sw, se) in corner_tiles("v")))
     assert ts_language(ts, 2, 2) == oracle_language(ts, 2, 2) == [grid(["x"])]
     assert ts_language(ts, 2, 2) == enumerate_language(tiles_to_fis(ts), 2, 2)
 
