@@ -37,10 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import FormatError, UnknownLetter, UnknownTransition
-from .grids import Grid, check_letter
+from .errors import UnknownLetter, UnknownTransition
+from .grids import Grid
 from . import grids
 
 
@@ -50,6 +51,10 @@ class Transition(NamedTuple):
     letter: str
     east: str
     south: str
+
+
+_FIS_KEYS = ("alphabet", "states", "classes", "initial_states",
+             "initial_classes", "final_states", "final_classes")
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,7 @@ class FIS:
     final_classes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for name in ("alphabet", "states", "classes", "initial_states",
-                     "initial_classes", "final_states", "final_classes"):
+        for name in _FIS_KEYS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(
             self, "transitions",
@@ -95,25 +99,16 @@ def validate(f: FIS) -> list[str]:
     """
     out: list[str] = []
 
-    def check_names(kind: str, names: tuple[str, ...]) -> None:
+    def check_names(kind: str, names: tuple[str, ...], ok=grids.is_token) -> None:
         seen = set()
         for name in names:
-            if not name or any(c.isspace() for c in name):
+            if not ok(name):
                 out.append(f'Bad{kind} "{name}"')
             if name in seen:
                 out.append(f'Duplicate{kind} "{name}"')
             seen.add(name)
 
-    for a in f.alphabet:
-        try:
-            check_letter(a)
-        except Exception:
-            out.append(f'BadLetter "{a}"')
-    seen_letters = set()
-    for a in f.alphabet:
-        if a in seen_letters:
-            out.append(f'DuplicateLetter "{a}"')
-        seen_letters.add(a)
+    check_names("Letter", f.alphabet, lambda a: grids.is_token(a) and a != grids.BORDER)
     check_names("State", f.states)
     check_names("Class", f.classes)
 
@@ -271,59 +266,24 @@ def render_scenario(sc: Scenario) -> str:
     return "\n".join(text) + "\n"
 
 
-_FIS_KEYS = ("alphabet", "states", "classes", "initial_states",
-             "initial_classes", "final_states", "final_classes")
-
-
 def parse_fis(text: str) -> FIS:
     """Read a system from its text format.
 
-    Lines are ``key: tokens``; ``trans:`` lines give one transition as
-    five tokens, every other key lists names.  Lines starting with
-    ``#`` are comments.  Unknown keys are errors.
+    Lines are ``key: tokens`` (:func:`fiskit.grids.read_keys`).  A
+    ``trans:`` line gives one transition as five tokens; every other
+    key lists names.
     """
-    fields: dict[str, list[str]] = {k: [] for k in _FIS_KEYS}
-    transitions: list[Transition] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise FormatError(f"line {lineno}: expected 'key: ...'")
-        key = key.strip()
-        tokens = rest.split()
-        if key == "trans":
-            if len(tokens) != 5:
-                raise FormatError(f"line {lineno}: trans needs 5 tokens")
-            transitions.append(Transition(*tokens))
-        elif key in fields:
-            fields[key].extend(tokens)
-        else:
-            raise FormatError(f"line {lineno}: unknown key {key!r}")
-    return FIS(
-        alphabet=tuple(fields["alphabet"]),
-        states=tuple(fields["states"]),
-        classes=tuple(fields["classes"]),
-        transitions=tuple(transitions),
-        initial_states=tuple(fields["initial_states"]),
-        initial_classes=tuple(fields["initial_classes"]),
-        final_states=tuple(fields["final_states"]),
-        final_classes=tuple(fields["final_classes"]),
-    )
+    doc = grids.read_keys(text, {**dict.fromkeys(_FIS_KEYS), "trans": 5})
+    return FIS(transitions=doc.pop("trans"), **doc)
 
 
 def format_fis(f: FIS) -> str:
-    """Render a system in the text format accepted by :func:`parse_fis`."""
-    for group in (f.alphabet, f.states, f.classes):
-        for tok in group:
-            if not tok or any(c.isspace() for c in tok):
-                raise FormatError(f"token {tok!r} cannot be serialized")
-    lines = []
-    for key in _FIS_KEYS:
-        lines.append((key + ": " + " ".join(getattr(f, key))).rstrip())
-    for t in f.transitions:
-        lines.append("trans: " + " ".join(t))
+    """Render a system in the text format accepted by :func:`parse_fis`;
+    a name or letter that is not a token is a ``FormatError``."""
+    fields = [getattr(f, key) for key in _FIS_KEYS]
+    grids.check_tokens(chain(*fields, chain.from_iterable(f.transitions)))
+    lines = [(key + ": " + " ".join(names)).rstrip() for key, names in zip(_FIS_KEYS, fields)]
+    lines += ["trans: " + " ".join(t) for t in f.transitions]
     return "\n".join(lines) + "\n"
 
 

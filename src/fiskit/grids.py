@@ -1,17 +1,19 @@
 """Rectangular grids of letters and the operations used everywhere else.
 
 A grid is a non-empty rectangular array of letters.  A letter is any
-non-empty token without whitespace, except the reserved border symbol
-``#`` which only ever appears in the frame added by :func:`border`.
+token (:func:`is_token`) except the reserved border symbol ``#`` which
+only ever appears in the frame added by :func:`border`.
 
 Canonical grid order lives here too: :func:`sizes` lists the sizes in
 the order in which every language, of a system or of a tile system, is
-enumerated.
+enumerated.  So do the rules of the text formats: tokens, comment
+lines and ``key: tokens`` documents (:func:`read_keys`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -29,12 +31,25 @@ BORDER = "#"
 Cells = tuple[tuple[str, ...], ...]
 
 
+def is_token(tok: object) -> bool:
+    """Whether ``tok`` is a token of the text formats: a non-empty string
+    that whitespace does not split (``str.split`` and ``str.isspace``
+    agree on every code point)."""
+    return isinstance(tok, str) and tok.split() == [tok]
+
+
+def check_tokens(tokens: Iterable[str]) -> None:
+    """Raise :class:`FormatError` unless each of ``tokens`` is a token,
+    testing each distinct one once: a writer's check that its reader
+    will give back every token it writes."""
+    if bad := [tok for tok in set(tokens) if not is_token(tok)]:
+        raise FormatError(f"tokens {sorted(map(repr, bad))} cannot be serialized")
+
+
 def check_letter(token: str) -> str:
     """Return ``token`` if it is a valid letter, raise otherwise."""
-    if not isinstance(token, str) or not token:
-        raise InvalidLetter("letters must be non-empty strings")
-    if token.split() != [token]:  # str.split and str.isspace agree on every code point
-        raise InvalidLetter(f"letter {token!r} contains whitespace")
+    if not is_token(token):
+        raise InvalidLetter(f"letter {token!r} is not a non-empty string without whitespace")
     if token == BORDER:
         raise InvalidLetter(f"letter {token!r} is the reserved border symbol")
     return token
@@ -50,11 +65,10 @@ class Grid:
         if not self.cells or not self.cells[0]:
             raise InvalidGrid("grids must have at least one row and one column")
         width = len(self.cells[0])
-        for row in self.cells:
-            if len(row) != width:
-                raise InvalidGrid("grid rows must all have the same length")
-            for cell in row:
-                check_letter(cell)
+        if any(len(row) != width for row in self.cells):
+            raise InvalidGrid("grid rows must all have the same length")
+        for cell in dict.fromkeys(chain.from_iterable(self.cells)):  # each letter once
+            check_letter(cell)
 
     @property
     def rows(self) -> int:
@@ -200,6 +214,38 @@ def subgrids(bg: BorderedGrid, r: int, s: int) -> list[Window]:
         for j in range(bg.cols - s + 1):
             out.append(tuple(row[j : j + s] for row in bg.cells[i : i + r]))
     return out
+
+
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """The lines of a document that carry content, stripped and numbered
+    from 1; blank lines and lines starting with ``#`` are comments."""
+    return [(n, line) for n, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.strip()) and not line.startswith("#")]
+
+
+def read_keys(text: str, counts: dict[str, int | None]) -> dict[str, list]:
+    """Read a document of ``key: tokens`` lines into lists by key.
+
+    ``counts`` holds every key the document may use.  The tokens of all
+    lines of a key whose count is ``None`` join one list; any other key
+    gives a list of exactly that many tokens per line.  A line without
+    ``:``, with an unknown key or with the wrong number of tokens is a
+    :class:`FormatError` naming its number.
+    """
+    doc: dict[str, list] = {key: [] for key in counts}
+    for n, line in content_lines(text):
+        key, sep, rest = line.partition(":")
+        key, tokens = key.strip(), rest.split()
+        if not sep or key not in counts:
+            raise FormatError(f"line {n}: expected 'key: ...' with a key in {list(counts)}")
+        count = counts[key]
+        if count is None:
+            doc[key].extend(tokens)
+        elif len(tokens) == count:
+            doc[key].append(tokens)
+        else:
+            raise FormatError(f"line {n}: {key} needs {count} tokens")
+    return doc
 
 
 def parse_grid(text: str) -> Grid:

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
+    FiskitError,
     FormatError,
     IndexOutOfRange,
     InvalidSolution,
     ReservedSymbolCollision,
 )
 from .fis import FIS, Transition
-from .grids import Grid, check_letter, grid, h_compose, v_compose
+from .grids import Grid, check_letter, content_lines, grid, h_compose, is_token, v_compose
 
 MARKER = "$"
 
@@ -40,8 +41,8 @@ class PcpInstance:
     """Word pairs (x[i], y[i]); letters are single characters.
 
     ``alphabet`` fixes the letter declaration order used by compiled
-    systems; when omitted it is inferred as the sorted set of letters
-    occurring in the words.
+    systems, each letter once; when omitted it is inferred as the sorted
+    set of letters occurring in the words.
     """
 
     x: tuple[str, ...]
@@ -54,20 +55,18 @@ class PcpInstance:
         if not self.x or len(self.x) != len(self.y):
             raise ValueError("need equally many x and y words, at least one pair")
         for word in self.x + self.y:
-            if not word:
-                raise ValueError("words must be non-empty")
-            for ch in word:
-                if ch == MARKER:
-                    raise ReservedSymbolCollision(
-                        f"the marker {MARKER!r} cannot occur in words")
-                check_letter(ch)
-        inferred = sorted({ch for word in self.x + self.y for ch in word})
+            if not is_token(word):
+                raise ValueError(f"word {word!r} is not a non-empty string without whitespace")
+        inferred = sorted(set("".join(self.x + self.y)))
         alphabet = tuple(self.alphabet) or tuple(inferred)
-        if MARKER in alphabet:
+        if MARKER in inferred or MARKER in alphabet:
             raise ReservedSymbolCollision(
                 f"the marker {MARKER!r} cannot be an instance letter")
-        missing = set(inferred) - set(alphabet)
-        if missing:
+        for a in (*inferred, *alphabet):
+            check_letter(a)
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError(f"alphabet {alphabet} repeats a letter")
+        if missing := set(inferred) - set(alphabet):
             raise ValueError(f"alphabet is missing letters {sorted(missing)}")
         object.__setattr__(self, "alphabet", alphabet)
 
@@ -370,37 +369,30 @@ def classify_transition(t: Transition) -> TransKind:
 
 
 def parse_pcp(text: str) -> PcpInstance:
-    """Read an instance: one ``x y`` pair per line, optional leading
-    ``alphabet:`` line fixing the letter order."""
-    alphabet: tuple[str, ...] = ()
-    pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("alphabet:"):
-            if pairs or alphabet:
-                raise FormatError(f"line {lineno}: alphabet must come first")
-            alphabet = tuple(line.partition(":")[2].split())
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise FormatError(f"line {lineno}: expected 'x y', got {line!r}")
-        pairs.append((tokens[0], tokens[1]))
+    """Read an instance: one ``x y`` pair per line after an optional
+    first ``alphabet:`` line fixing the letter order.  Blank lines and
+    lines starting with ``#`` are comments (:func:`content_lines`)."""
+    lines = content_lines(text)
+    alphabet = ""
+    if lines and lines[0][1].startswith("alphabet:"):
+        alphabet = lines.pop(0)[1].partition(":")[2]
+    pairs = []
+    for n, line in lines:
+        if len(pair := line.split()) != 2:
+            raise FormatError(f"line {n}: expected 'x y', got {line!r}")
+        pairs.append(pair)
     if not pairs:
         raise FormatError("no word pairs found")
     try:
-        return PcpInstance(
-            x=tuple(x for x, _ in pairs),
-            y=tuple(y for _, y in pairs),
-            alphabet=alphabet,
-        )
-    except (ValueError, ReservedSymbolCollision) as exc:
+        return PcpInstance(*zip(*pairs), alphabet=alphabet.split())
+    except (ValueError, FiskitError) as exc:
         raise FormatError(str(exc)) from exc
 
 
 def format_pcp(p: PcpInstance) -> str:
-    """Render an instance in the text format of :func:`parse_pcp`."""
+    """Render an instance in the text format of :func:`parse_pcp`.  Its
+    words and letters are tokens, as :class:`PcpInstance` checks, and
+    only the first line may be the ``alphabet:`` line, so it reads back."""
     lines = ["alphabet: " + " ".join(p.alphabet)]
     lines += [f"{x} {y}" for x, y in zip(p.x, p.y)]
     return "\n".join(lines) + "\n"

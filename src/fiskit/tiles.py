@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .errors import FormatError, UnknownLetter
+from .errors import FormatError, InvalidLetter, UnknownLetter
 from .fis import FIS, Transition, TransitionTable, live_transitions
-from .grids import BORDER, Grid, border, check_letter, subgrids
+from .grids import BORDER, Grid, border, check_letter, check_tokens, read_keys, subgrids
 
 # a 2x2 array of letters ((nw, ne), (sw, se)), the border symbol
 # permitted; the cyclic collector stops tracking tuples of strings, so
@@ -74,6 +74,11 @@ class LocalLanguage:
             cell = next(c for t in delta for row in t for c in row if c in bad)
             raise ValueError(f"tile letter {cell!r} not in the alphabet")
 
+    @cached_property
+    def _tiles(self) -> frozenset[Tile]:
+        """The tiles as a set, built on the first membership test."""
+        return frozenset(self.delta)
+
 
 def local_member(ll: LocalLanguage, w: Grid) -> bool:
     """Whether every bordered 2x2 window of ``w`` is a tile of ``ll``."""
@@ -82,8 +87,7 @@ def local_member(ll: LocalLanguage, w: Grid) -> bool:
         for cell in row:
             if cell not in known:
                 raise UnknownLetter(f"letter {cell!r} is not in the alphabet")
-    windows = set(subgrids(border(w), 2, 2))
-    return windows <= set(ll.delta)
+    return set(subgrids(border(w), 2, 2)) <= ll._tiles
 
 
 @dataclass(frozen=True)
@@ -201,13 +205,9 @@ def ts_recognize(ts: TileSystem, w: Grid) -> bool:
     """Whether some preimage of ``w`` lies in the local language: the
     depth-first search of ``recognize`` on the system of
     :func:`tiles_to_fis`, so preimage letters are chosen cell by cell
-    and whole preimage grids are never enumerated."""
-    eng = ts._engine
-    for row in w.cells:
-        for cell in row:
-            if cell not in eng.letter_id:
-                raise UnknownLetter(f"letter {cell!r} is not in the target alphabet")
-    return eng.scenario(w, None) is not None
+    and whole preimage grids are never enumerated.  A letter outside the
+    target alphabet is an ``UnknownLetter``, raised by the engine."""
+    return ts._engine.scenario(w, None) is not None
 
 
 def ts_language(ts: TileSystem, max_rows: int, max_cols: int) -> list[Grid]:
@@ -323,49 +323,30 @@ def tiles_to_fis(ts: TileSystem) -> FIS:
 def parse_tiles(text: str) -> TileSystem:
     """Read a tile system.
 
-    Keys: ``alphabet:`` (local letters), ``target:``, ``map: source
-    target`` and ``tile: p q / r s``.  Lines starting with ``#`` are
-    comments except inside tile rows, where ``#`` is the border symbol.
+    Lines are ``key: tokens`` (:func:`fiskit.grids.read_keys`), the keys
+    ``alphabet:`` (local letters), ``target:``, ``map: source target``
+    and ``tile: p q / r s``.  Only a whole line starting with ``#`` is
+    a comment, so ``#`` inside a tile row is the border symbol.
     """
-    alphabet: list[str] = []
-    target: list[str] = []
-    mapping: list[tuple[str, str]] = []
-    tiles_: list[Tile] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise FormatError(f"line {lineno}: expected 'key: ...'")
-        key = key.strip()
-        tokens = rest.split()
-        if key == "alphabet":
-            alphabet.extend(tokens)
-        elif key == "target":
-            target.extend(tokens)
-        elif key == "map":
-            if len(tokens) != 2:
-                raise FormatError(f"line {lineno}: map needs 'source target'")
-            mapping.append((tokens[0], tokens[1]))
-        elif key == "tile":
-            if len(tokens) != 5 or tokens[2] != "/":
-                raise FormatError(f"line {lineno}: tile needs 'p q / r s'")
-            tiles_.append(((tokens[0], tokens[1]), (tokens[3], tokens[4])))
-        else:
-            raise FormatError(f"line {lineno}: unknown key {key!r}")
+    doc = read_keys(text, {"alphabet": None, "target": None, "map": 2, "tile": 5})
+    if bad := [t for t in doc["tile"] if t[2] != "/"]:
+        raise FormatError(f"tile needs 'p q / r s', not {' '.join(bad[0])!r}")
     try:
         return TileSystem(
-            local=LocalLanguage(alphabet=tuple(alphabet), delta=tuple(tiles_)),
-            target=tuple(target),
-            mapping=tuple(mapping),
+            local=LocalLanguage(alphabet=doc["alphabet"], delta=[
+                ((nw, ne), (sw, se)) for nw, ne, _, sw, se in doc["tile"]]),
+            target=doc["target"],
+            mapping=doc["map"],
         )
-    except ValueError as exc:
+    except (ValueError, InvalidLetter) as exc:
         raise FormatError(str(exc)) from exc
 
 
 def format_tiles(ts: TileSystem) -> str:
-    """Render a tile system in the format of :func:`parse_tiles`."""
+    """Render a tile system in the format of :func:`parse_tiles`; a
+    target letter that is not a token is a ``FormatError``.  Every other
+    letter is one, as :class:`LocalLanguage` checks its alphabet."""
+    check_tokens(ts.target)
     lines = ["alphabet: " + " ".join(ts.local.alphabet),
              "target: " + " ".join(ts.target)]
     lines += [f"map: {a} {b}" for a, b in ts.mapping]

@@ -26,6 +26,8 @@ from fiskit.fis import (
     validate,
 )
 from fiskit.grids import grid
+from fiskit.pcp import PcpInstance, format_pcp, parse_pcp
+from fiskit.tiles import fis_to_tiles, format_tiles, parse_tiles
 
 
 def test_validate_accepts_well_formed(f1):
@@ -172,8 +174,13 @@ def test_text_format_round_trip(f1):
 
 
 def test_text_format_parses_comments_and_blanks(f1):
-    text = "# diagonal recognizer\n\n" + format_fis(f1)
-    assert parse_fis(text) == f1
+    # every key format and .pcp take blank and "#" lines anywhere
+    for value, write, read in ((f1, format_fis, parse_fis),
+                               (fis_to_tiles(f1), format_tiles, parse_tiles),
+                               (PcpInstance(x=("ab", "b"), y=("a", "bb")), format_pcp, parse_pcp)):
+        lines = write(value).splitlines()
+        text = "# diagonal recognizer\n\n" + "\n\n  # between lines\n".join(lines) + "\n#"
+        assert read(text) == value
 
 
 def test_text_format_errors():

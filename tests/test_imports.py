@@ -1,4 +1,5 @@
-"""Modules of the package use only each other's public names."""
+"""Modules of the package use only each other's public names, and use
+every name they import."""
 
 from __future__ import annotations
 
@@ -75,3 +76,40 @@ def test_guard_allows_public_and_own_names():
               "from .fis import FIS\nx = grids.grid\ny = grids.__name__\n"
               "class A:\n    def f(self):\n        return self._x\n")
     assert private_uses(source) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: imports {name}" for name, line in imported.items()
+            if name not in used]
+
+
+# the package's own imports are its exports
+@pytest.mark.parametrize("name", sorted(MODULES - {"__init__"}))
+def test_every_imported_name_is_used(name):
+    assert unused_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import itertools\n",
+    "from .errors import FormatError, UnknownLetter\nraise UnknownLetter\n",
+    "from . import grids\n",
+    "import fiskit.grids as g\n",
+])
+def test_unused_import_guard_catches_unused_names(source):
+    assert len(unused_imports(source)) == 1
+
+
+def test_unused_import_guard_allows_used_names():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from typing import Sequence\nfrom . import grids\n"
+              "def f(x: Sequence) -> None:\n    return grids.grid(os.path.sep)\n")
+    assert unused_imports(source) == []
