@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .analysis import (
@@ -145,6 +146,7 @@ def _cmd_check_structure(args) -> int:
     return 0 if rep.ok else 1
 
 
+@cache  # parse_args keeps no state between calls, so one parser serves them all
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="fiskit",

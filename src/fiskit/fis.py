@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import UnknownLetter, UnknownTransition
 from .grids import Grid
@@ -299,10 +299,12 @@ class TransitionTable(dict):
     final id sets, and its transitions by (north, west) id pair.
 
     An entry lists the transitions leaving its pair in canonical order
-    as ``(letter, east, south, index)``; ``names[index]`` is the
-    transition itself.  :meth:`of` fills every entry of a FIS at once.
-    A subclass may fill an entry on first request in ``__missing__``,
-    appending to ``names``; here a missing entry has no transitions.
+    as ``(letter, east, south, index)``; ``names[index]`` records the
+    transition and :meth:`transitions` gives it.  :meth:`of` fills every
+    entry of a FIS at once.  A subclass may fill an entry on first
+    request in ``__missing__``, appending to ``names`` a record its
+    :meth:`transitions` spells out; here a missing entry has no
+    transitions.
     """
 
     def __init__(self, alphabet: Sequence[str], states: int, classes: int,
@@ -330,6 +332,10 @@ class TransitionTable(dict):
                 (lid[t.letter], cid[t.east], sid[t.south], len(out.names)))
             out.names.append(t)
         return out
+
+    def transitions(self, indices: Iterable[int]) -> list[Transition]:
+        """The transitions numbered ``indices``."""
+        return list(map(self.names.__getitem__, indices))
 
     def compile(self) -> _Engine:
         """The frontier engine over this table."""
@@ -373,10 +379,11 @@ class _Engine:
         self.letter_names = table.alphabet
         self.grid = grids.grid_over(self.letter_names)
         self.letter_id = {name: i for i, name in enumerate(self.letter_names)}
-        self.leaving, self.t_names = table, table.names
+        self.leaving = table
         self.init_states, self.init_classes = table.initial_states, table.initial_classes
         self.fin_fields = frozenset(s + 1 for s in table.final_states)
-        self.fin_classes = frozenset(table.final_classes)
+        fin = table.final_classes  # a range, as a tile system's, needs no k^2 set
+        self.fin_classes = fin if isinstance(fin, range) else frozenset(fin)
 
         self.field_bits = max(1, table.states.bit_length())
         east_bits = max(1, table.classes.bit_length())
@@ -385,12 +392,14 @@ class _Engine:
         self.moves: dict[tuple[bool, int, int], dict] = {}
 
     def track(self, t: Transition | None) -> int | None:
-        """The index of a transition to track, ``None`` for none."""
+        """The index of a transition to track, ``None`` for none.  Only
+        tables filled by :meth:`TransitionTable.of`, whose ``names`` are
+        the transitions, are tracked."""
         if t is None:
             return None
         t = Transition(*t)
         try:
-            return self.t_names.index(t)
+            return self.leaving.names.index(t)
         except ValueError:
             raise UnknownTransition(f"transition {t} is not declared") from None
 
@@ -591,7 +600,7 @@ class _Engine:
                 moves, rest, shift, i = stack.pop()
             else:
                 return None
-        run = [self.t_names[moves[i - 1][2]] for moves, _rest, _shift, i in stack]
+        run = self.leaving.transitions([moves[i - 1][2] for moves, _rest, _shift, i in stack])
         cell_runs = tuple(tuple(run[r * q:(r + 1) * q]) for r in range(m))
         return Scenario(grid=g, cell_runs=cell_runs,
                         b_n=tuple(t.north for t in cell_runs[0]),

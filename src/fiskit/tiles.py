@@ -4,21 +4,25 @@ A local language over an alphabet V' is given by a set of 2x2 tiles;
 a grid belongs to it when every 2x2 window of its bordered version is
 a tile of the set.  A tile is the plain tuple ``((nw, ne), (sw, se))``
 of its letters, the border symbol permitted, and :func:`tile_token`
-names it; :class:`LocalLanguage` is where tiles enter and are checked.
+names it; :class:`LocalLanguage` is where tiles enter and are checked,
+and it keeps the one tile index and the set of distinct tile rows.
 A tile system adds a projection h from V' onto a target alphabet V and
 recognizes the h-images of a local language.
 Tile systems and finite interactive systems recognize the same grid
 languages; :func:`fis_to_tiles` and :func:`tiles_to_fis` realize the
 two directions of that equivalence.  Searches on a tile system run on
 the frontier engine of :mod:`fiskit.fis` over the system that
-:func:`tiles_to_fis` gives, built only as far as they reach.
+:func:`tiles_to_fis` gives, built only as far as they reach: there is
+no window table, and each window a search needs is derived from the
+distinct rows and looked up in the tile index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from typing import Iterable
 
 from .errors import FormatError, InvalidLetter, UnknownLetter
 from .fis import FIS, Transition, TransitionTable, live_transitions
@@ -28,6 +32,7 @@ from .grids import BORDER, Grid, border, check_letter, check_tokens, read_keys, 
 # permitted; the cyclic collector stops tracking tuples of strings, so
 # a large tile set adds no work to later collections
 Tile = tuple[tuple[str, str], tuple[str, str]]
+_FRAME = (BORDER, BORDER)  # the bottom row of a tile on the south frame
 
 
 def quote(name: str) -> str:
@@ -53,7 +58,13 @@ def tile_token(t: Tile) -> str:
 
 @dataclass(frozen=True)
 class LocalLanguage:
-    """An alphabet and the set of 2x2 windows its grids may show."""
+    """An alphabet and the set of 2x2 windows its grids may show.
+
+    The pass that deduplicates the tiles leaves the one tile index,
+    ``_index``, each distinct tile to its place in ``delta``; the letter
+    check leaves ``_rows``, the set of distinct tile rows.  Membership
+    tests and the tile engine read these, never the tiles whole.
+    """
 
     alphabet: tuple[str, ...]
     delta: tuple[Tile, ...]
@@ -62,22 +73,22 @@ class LocalLanguage:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         for a in self.alphabet:  # a local letter "#" would pass for the frame
             check_letter(a)
+        places = count()
         try:  # tiles already 2x2 tuples are kept, not copied
-            delta = tuple(dict.fromkeys(
+            index = dict(zip((
                 t if type(t) is type(t[0]) is type(t[1]) is tuple else ((nw, ne), (sw, se))
-                for t in self.delta for (nw, ne), (sw, se) in [t]))
+                for t in self.delta for (nw, ne), (sw, se) in [t]), places))
         except (TypeError, ValueError):
             raise ValueError("tiles are 2x2") from None
-        object.__setattr__(self, "delta", delta)
-        rows = set(chain.from_iterable(delta))  # tiles share rows: fewer to read
+        if len(index) < next(places):  # a repeated tile kept its last place
+            index = dict(zip(index, count()))
+        rows = frozenset(chain.from_iterable(index))  # tiles share rows: fewer to read
+        object.__setattr__(self, "delta", tuple(index))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_rows", rows)
         if bad := set(chain.from_iterable(rows)) - {*self.alphabet, BORDER}:
-            cell = next(c for t in delta for row in t for c in row if c in bad)
+            cell = next(c for t in self.delta for row in t for c in row if c in bad)
             raise ValueError(f"tile letter {cell!r} not in the alphabet")
-
-    @cached_property
-    def _tiles(self) -> frozenset[Tile]:
-        """The tiles as a set, built on the first membership test."""
-        return frozenset(self.delta)
 
 
 def local_member(ll: LocalLanguage, w: Grid) -> bool:
@@ -87,7 +98,7 @@ def local_member(ll: LocalLanguage, w: Grid) -> bool:
         for cell in row:
             if cell not in known:
                 raise UnknownLetter(f"letter {cell!r} is not in the alphabet")
-    return set(subgrids(border(w), 2, 2)) <= ll._tiles
+    return all(window in ll._index for window in subgrids(border(w), 2, 2))
 
 
 @dataclass(frozen=True)
@@ -143,43 +154,63 @@ class _PairTable(TransitionTable):
 
     With ``#`` as 0 and the distinct local letters from 1, ``k`` ids in
     all, the pair ``(x, y)`` is ``x * k + y``, and a flagged state or a
-    closing class adds ``k * k``.  An entry is derived from the window
-    table on first request (``__missing__``), so searching a large tile
-    system builds only the transitions it reaches.
+    closing class adds ``k * k``.  As every closing class emitted is
+    final, the final classes are the range of flagged pairs.
+
+    There is no window table.  The table keeps the distinct tile rows
+    by their first letter, and an entry is derived on first request
+    (``__missing__``): each row ``(sw, se)`` names a candidate, the
+    tile index tells whether ``(nw, ne / sw, se)`` is a tile and where,
+    and the moves follow tile order.  Compiling reads the distinct rows,
+    not the tiles, and a search builds only the entries it reaches.
+    ``names`` holds each transition as its ids ``(n, w, e, s)`` until
+    :meth:`transitions` spells it out, the first time a scenario needs it.
     """
 
     def __init__(self, ts: TileSystem):
-        local = [BORDER, *dict.fromkeys(ts.local.alphabet)]
-        lid = {a: i for i, a in enumerate(local)}
+        local = self.local = [BORDER, *dict.fromkeys(ts.local.alphabet)]
+        lid = self.lid = {a: i for i, a in enumerate(local)}
         self.quoted = [quote(a) for a in local]
         tid, h = {a: i for i, a in enumerate(dict.fromkeys(ts.target))}, ts.h
         self.h = [0] + [tid[h[a]] for a in local[1:]]
         k = self.k = len(local)
         kk = self.kk = k * k
-        # (nw, ne, sw) -> se ids, in tuples of ints, which the cyclic
-        # collector stops tracking: a large table slows no later collection
-        windows: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self.windows = windows
-        south, fin_classes = [], []  # tiles on the south frame; final classes
-        for (nw, ne), (sw, se) in ts.local.delta:
-            nw, ne, sw, se = lid[nw], lid[ne], lid[sw], lid[se]
-            windows[nw, ne, sw] = windows.get((nw, ne, sw), ()) + (se,)
-            if sw == se == 0:
-                south.append((nw, ne))
-            if ne == se == 0:
-                fin_classes.append(kk + nw * k + sw)
-        fin_states = [nw * k + ne for nw, ne in south]
-        fin_states += [kk + nw * k + ne for nw, ne in south if self.has(ne, 0, 0, 0)]
-        super().__init__(tid, 2 * kk, 2 * kk, ((0, kk), (0,)), (fin_states, fin_classes))
+        index = self.index = ts.local._index
+        self.east = [(a, BORDER) for a in local]  # tile rows on the east frame
+        # (row, id of y) for each row (x, y) by x, and the rows on the south frame
+        after, south = [[] for _ in local], []
+        for row in ts.local._rows:
+            x, y = lid[row[0]], lid[row[1]]
+            if y:  # a window's se is never the frame
+                after[x].append((row, y))
+            if (row, _FRAME) in index:
+                south.append(x * k + y)
+        self.after = [tuple(a) for a in after]  # which the cyclic collector lets go
+        super().__init__(tid, 2 * kk, 2 * kk, ((0, kk), (0,)),
+                         (self.finals(south), range(kk, 2 * kk)))
 
-    def has(self, nw: int, ne: int, sw: int, se: int) -> bool:
-        return se in self.windows.get((nw, ne, sw), ())
+    def finals(self, south: list[int]) -> list[int]:
+        """The final states: the pairs ``south`` of the tiles ``(x, y / #,
+        #)``, then flagged those that have the corner tile ``(y, # / #, #)``."""
+        return south + [self.kk + p for p in south if (self.east[p % self.k], _FRAME) in self.index]
 
     def name(self, pair: int, flag: str) -> str:
         """``(x,y)`` from quoted letters, with ``flag`` (``F`` for a
         state, ``C`` for a class) in front when flagged."""
         x, y = divmod(pair % self.kk, self.k)
         return f"{flag if pair >= self.kk else ''}({self.quoted[x]},{self.quoted[y]})"
+
+    def transitions(self, indices: Iterable[int]) -> list[Transition]:
+        out = []
+        for i in indices:
+            t = self.names[i]
+            if type(t) is tuple:  # ids, spelled out once
+                n, w, e, s = t
+                t = self.names[i] = Transition(
+                    self.name(n, "F"), self.name(w, "C"), self.alphabet[self.h[s % self.k]],
+                    self.name(e, "C"), self.name(s, "F"))
+            out.append(t)
+        return out
 
     def __missing__(self, key: tuple[int, int]) -> list[tuple[int, int, int, int]]:
         n, w = key
@@ -190,14 +221,14 @@ class _PairTable(TransitionTable):
         if w >= kk or w // k != nw:
             return out
         sw, flag = w % k, kk if closing else 0
-        for se in self.windows.get((nw, ne, sw), ()):
-            if se == 0 or closing and not self.has(ne, 0, se, 0):
+        top, index, east = (self.local[nw], self.local[ne]), self.index, self.east
+        for _at, se in sorted((at, se) for row, se in self.after[sw]  # in tile order
+                              if (at := index.get((top, row))) is not None):
+            if closing and (east[ne], east[se]) not in index:
                 continue
             e, s = flag + ne * k + se, flag + sw * k + se
             out.append((self.h[se], e, s, len(self.names)))
-            self.names.append(Transition(self.name(n, "F"), self.name(w, "C"),
-                                         self.alphabet[self.h[se]],
-                                         self.name(e, "C"), self.name(s, "F")))
+            self.names.append((n, w, e, s))
         return out
 
 
@@ -294,17 +325,26 @@ def tiles_to_fis(ts: TileSystem) -> FIS:
     :class:`_PairTable`.  A state is a pair of local letters side by
     side, a class a pair one above the other, named ``(x,y)``,
     ``F(x,y)`` or ``C(x,y)`` from letters quoted by :func:`quote`.
-    Searches on ``ts`` run on this system without building it whole."""
+    Searches on ``ts`` run on this system without building it whole;
+    written whole, it takes one walk over the tiles, which requests the
+    entries in first-tile order and gives the final states and classes
+    in tile order, so the output follows the order of the tiles."""
     table = _PairTable(ts)
-    k, kk = table.k, table.kk
-    for nw, ne, sw in table.windows:
-        for north in (nw * k + ne, kk + nw * k + ne):
-            table[north, nw * k + sw]
-    trans = tuple(table.names)
+    k, kk, lid = table.k, table.kk, table.lid
+    south, east = [], []
+    for (nw, ne), (sw, se) in ts.local.delta:
+        nw, ne, sw, se = lid[nw], lid[ne], lid[sw], lid[se]
+        table[nw * k + ne, nw * k + sw]
+        table[kk + nw * k + ne, nw * k + sw]
+        if sw == se == 0:
+            south.append(nw * k + ne)
+        if ne == se == 0:
+            east.append(kk + nw * k + sw)
+    trans = tuple(table.transitions(range(len(table.names))))
     init_s, fin_s = (tuple(table.name(i, "F") for i in ids)
-                     for ids in (table.initial_states, table.final_states))
+                     for ids in (table.initial_states, table.finals(south)))
     init_c, fin_c = (tuple(table.name(i, "C") for i in ids)
-                     for ids in (table.initial_classes, table.final_classes))
+                     for ids in (table.initial_classes, east))
     return FIS(
         alphabet=tuple(table.alphabet),
         states=tuple(dict.fromkeys([*init_s, *fin_s, *(x for t in trans for x in (t.north, t.south))])),

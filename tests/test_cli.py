@@ -50,6 +50,23 @@ def test_recognize_accept_writes_scenario(files, capsys, tmp_path):
     assert out.read_text() == render_scenario(recognize(make_f1(), diagonal(3)))
 
 
+def test_consecutive_calls_share_no_state(files, capsys, tmp_path):
+    # the parser is built once per process; no call may see another's arguments
+    assert cli._parser() is cli._parser()
+    f1_path = files("f1.fis", format_fis(make_f1()))
+    grid_path = files("diag3.grid", format_grid(diagonal(3)))
+    out = tmp_path / "sc.txt"
+    argv = ("recognize", "--fis", f1_path, "--grid", grid_path)
+    assert run(capsys, *argv, "--scenario", str(out)) == (0, "ACCEPT\n")
+    out.unlink()
+    assert run(capsys, *argv) == (0, "ACCEPT\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diag3.grid", "f1.fis"]
+    assert cli.main(["recognize", "--fis", f1_path, "--max-k", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr() == ("ACCEPT\n", "")
+
+
 def test_recognize_reject(files, capsys):
     f1_path = files("f1.fis", format_fis(make_f1()))
     grid_path = files("bad.grid", format_grid(grid(["ab", "ba"])))

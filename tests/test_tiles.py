@@ -23,12 +23,13 @@ from fiskit.fis import (
     _Engine,
     check_scenario,
     enumerate_language,
+    format_fis,
     parse_fis,
     recognize,
     validate,
 )
 from fiskit.grids import BORDER, border, grid, sizes, subgrids
-from fiskit.pcp import PcpInstance, compile_pcp
+from fiskit.pcp import PcpInstance, compile_pcp, witness_from_solution
 from fiskit.tiles import (
     LocalLanguage,
     Tile,
@@ -302,9 +303,26 @@ def test_conversion_bytes_are_pinned():
         "a628e08d3fc8f40a1869ebdb52b98f5ac99c95980d66f69f9c640ab867611213")
 
 
+def test_reverse_conversion_bytes_are_pinned():
+    # entries in first-tile order, each entry's moves in tile order, and
+    # final states and classes declared in tile order
+    diag = fis_to_tiles(parse_fis((DATA / "diagonal.fis").read_text()))
+    text = format_fis(tiles_to_fis(diag))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9ca263bf55aa0a68ac94fcda3d9c724de361a75f778466910a8e08931f21a9c2")
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        ts = random_tile_system(rng, sources=("p", "p,p", "p/p"))
+        digest.update(format_fis(tiles_to_fis(ts)).encode())
+    assert digest.hexdigest() == (
+        "36f0eb4f00da808085a58589b755fc264bbdbe584cdea5cc251f965ce53bc68b")
+
+
 def test_conversion_leaves_the_cyclic_collector_nothing_to_track():
     # tiles are tuples of strings, which the collector stops tracking,
-    # so a large tile set adds no work to any later collection
+    # so a large tile set adds no work to any later collection; nor do
+    # the tile index, the distinct rows and the engine built from them
     f = compile_pcp(P_BIG)
     gc.collect()
     before = len(gc.get_objects())
@@ -312,6 +330,34 @@ def test_conversion_leaves_the_cyclic_collector_nothing_to_track():
     gc.collect()
     assert len(ts.local.delta) == 32567
     assert len(gc.get_objects()) - before < 1000
+    assert ts_recognize(ts, witness_from_solution(P_BIG, (3, 2, 3, 1)))
+    gc.collect()
+    assert len(gc.get_objects()) - before < 1000
+
+
+def test_tile_engine_never_reads_the_tile_list():
+    # compiling reads the distinct rows, and a search looks windows up
+    # in the tile index: neither walks the 32,567 tiles
+    ts = fis_to_tiles(compile_pcp(P_BIG))
+    reads = []
+
+    class Watched(tuple):
+        def __iter__(self):
+            reads.append("iter")
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            reads.append("getitem")
+            return super().__getitem__(i)
+
+        def __contains__(self, t):
+            reads.append("contains")
+            return super().__contains__(t)
+
+    object.__setattr__(ts.local, "delta", Watched(ts.local.delta))
+    assert ts._engine.leaving.k == 242
+    assert ts_recognize(ts, witness_from_solution(P_BIG, (3, 2, 3, 1)))
+    assert reads == []
 
 
 def test_parse_rejects_malformed():
