@@ -22,21 +22,17 @@ from .errors import (
     UnknownLetter,
     UnknownTransition,
     WindowTooLarge,
-    ZeroIteration,
 )
 from .grids import (
     BORDER,
-    BorderedGrid,
     Grid,
     border,
     format_grid,
     grid,
     h_compose,
-    h_iterate,
     parse_grid,
     subgrids,
     v_compose,
-    v_iterate,
 )
 from .fis import (
     FIS,
@@ -51,18 +47,16 @@ from .fis import (
     recognize,
     recognize_with_transition,
     render_scenario,
-    unused_elements,
     validate,
 )
 from .pcp import (
     MARKER,
     PcpInstance,
-    TransKind,
     check_solution,
-    classify_transition,
     compile_pcp,
     compile_pcp_probe,
     format_pcp,
+    pad_transition,
     parse_pcp,
     probe_transition,
     probe_witness,

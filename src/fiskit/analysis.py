@@ -24,8 +24,7 @@ from .fis import (
     recognize,
 )
 from .grids import Grid, grid, v_compose
-from .pcp import (MARKER, PcpInstance, TransKind, c_state, classify_transition,
-                  compile_pcp, m_class, parse_name)
+from .pcp import MARKER, PcpInstance, c_state, compile_pcp, m_class, pad_transition, parse_name
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,6 @@ class FinitenessReport:
 
 def _is_reduction_fis(f: FIS) -> bool:
     # the shape compile_pcp guarantees and vertical padding relies on
-    pad = Transition(c_state(0, 0), "A", MARKER, "A", c_state(0, 0))
     def settled_marker(name: str) -> bool:
         parsed = parse_name(name, "M")
         return parsed is not None and parsed[1:] == (0, 0)
@@ -96,7 +94,7 @@ def _is_reduction_fis(f: FIS) -> bool:
         and len(f.final_classes) >= 1
         and f.final_classes[0] == "A"
         and all(settled_marker(c) for c in f.final_classes[1:])
-        and pad in f.transitions
+        and pad_transition() in f.transitions
     )
 
 
@@ -276,10 +274,6 @@ def structural_check(p: PcpInstance, sc: Scenario,
             if cells[r - 1][t] != MARKER:
                 marker_fails.append(f"row {r} column {t + 1}: letter "
                                     f"{cells[r - 1][t]!r}")
-                continue
-            kind = classify_transition(sc.cell_runs[r - 1][t])
-            if kind in (TransKind.X_SPELL, TransKind.Y_SPELL):
-                marker_fails.append(f"row {r} column {t + 1}: spelled, not reduced")
     marker_rows = CheckResult(not marker_fails, "; ".join(marker_fails[:3]))
 
     if xs is None or ys is None:
@@ -290,10 +284,11 @@ def structural_check(p: PcpInstance, sc: Scenario,
         index_streams = CheckResult(not why, why)
         carry_streams = _carry_streams(p, sc, xs, ys)
         k = len(xs)
+        pad = pad_transition()
         tail_fails = []
         for r in range(k + 3, m + 1):
             for t in range(q):
-                if classify_transition(sc.cell_runs[r - 1][t]) is not TransKind.PAD:
+                if sc.cell_runs[r - 1][t] != pad:
                     tail_fails.append(f"row {r} column {t + 1}")
         tail_rows = CheckResult(not tail_fails, "; ".join(tail_fails[:3]))
 

@@ -27,10 +27,6 @@ class RowMismatch(FiskitError):
     """Horizontal composition of grids with different row counts."""
 
 
-class ZeroIteration(FiskitError):
-    """Grid iteration with a repetition count below one."""
-
-
 class WindowTooLarge(FiskitError):
     """A sliding window larger than the grid it scans."""
 

@@ -142,22 +142,6 @@ def validate(f: FIS) -> list[str]:
     return out
 
 
-def unused_elements(f: FIS) -> dict[str, tuple[str, ...]]:
-    """Declared letters, states and classes no transition mentions.
-
-    Unused elements are permitted; this is informational only and never
-    affects recognition.
-    """
-    used_states = {t.north for t in f.transitions} | {t.south for t in f.transitions}
-    used_classes = {t.west for t in f.transitions} | {t.east for t in f.transitions}
-    used_letters = {t.letter for t in f.transitions}
-    return {
-        "letters": tuple(a for a in f.alphabet if a not in used_letters),
-        "states": tuple(s for s in f.states if s not in used_states),
-        "classes": tuple(c for c in f.classes if c not in used_classes),
-    }
-
-
 def live_transitions(f: FIS) -> tuple[Transition, ...]:
     """The transitions that can fire, in declaration order.
 

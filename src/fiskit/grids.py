@@ -23,7 +23,6 @@ from .errors import (
     InvalidLetter,
     RowMismatch,
     WindowTooLarge,
-    ZeroIteration,
 )
 
 BORDER = "#"
@@ -78,18 +77,6 @@ class Grid:
     def cols(self) -> int:
         return len(self.cells[0])
 
-    @property
-    def letters(self) -> frozenset[str]:
-        """The set of letters that occur in the grid."""
-        return frozenset(c for row in self.cells for c in row)
-
-    def row_text(self, i: int) -> str:
-        """Row i (0-based) as the concatenation of its letters."""
-        return "".join(self.cells[i])
-
-    def __str__(self) -> str:
-        return format_grid(self)
-
 
 def grid(rows: Iterable[Sequence[str]]) -> Grid:
     """Build a :class:`Grid` from any nested sequence of letters."""
@@ -138,66 +125,19 @@ def h_compose(left: Grid, right: Grid) -> Grid:
     return Grid(tuple(a + b for a, b in zip(left.cells, right.cells)))
 
 
-def v_iterate(g: Grid, k: int) -> Grid:
-    """``g`` stacked on itself ``k`` times, k >= 1."""
-    if k < 1:
-        raise ZeroIteration("iteration count must be at least 1")
-    return Grid(g.cells * k)
-
-
-def h_iterate(g: Grid, k: int) -> Grid:
-    """``g`` joined to itself side by side ``k`` times, k >= 1."""
-    if k < 1:
-        raise ZeroIteration("iteration count must be at least 1")
-    return Grid(tuple(row * k for row in g.cells))
-
-
-@dataclass(frozen=True)
-class BorderedGrid:
-    """A grid wrapped in a one-cell frame of the border symbol.
-
-    ``cells`` holds the full (m+2) x (q+2) array including the frame.
-    """
-
-    inner: Grid
-    cells: Cells
-
-    def __post_init__(self) -> None:
-        m, q = self.inner.rows, self.inner.cols
-        if len(self.cells) != m + 2 or any(len(r) != q + 2 for r in self.cells):
-            raise InvalidGrid("bordered cells must be (rows+2) x (cols+2)")
-        for i, row in enumerate(self.cells):
-            for j, cell in enumerate(row):
-                on_frame = i in (0, m + 1) or j in (0, q + 1)
-                want = BORDER if on_frame else self.inner.cells[i - 1][j - 1]
-                if cell != want:
-                    raise InvalidGrid(f"bordered cell ({i},{j}) should be {want!r}")
-
-    @property
-    def rows(self) -> int:
-        return self.inner.rows + 2
-
-    @property
-    def cols(self) -> int:
-        return self.inner.cols + 2
-
-
-def border(g: Grid) -> BorderedGrid:
-    """Frame ``g`` with the border symbol on all four sides."""
-    q = g.cols
-    frame_row = (BORDER,) * (q + 2)
+def border(g: Grid) -> Cells:
+    """The (m+2) x (q+2) cells of ``g`` framed with the border symbol on
+    all four sides."""
+    frame_row = (BORDER,) * (g.cols + 2)
     cells = (frame_row,)
     for row in g.cells:
         cells += ((BORDER,) + row + (BORDER,),)
-    cells += (frame_row,)
-    return BorderedGrid(g, cells)
+    return cells + (frame_row,)
 
 
-Window = Cells
-
-
-def subgrids(bg: BorderedGrid, r: int, s: int) -> list[Window]:
-    """All contiguous r x s windows of ``bg`` in row-major order.
+def subgrids(cells: Cells, r: int, s: int) -> list[Cells]:
+    """All contiguous r x s windows of ``cells``, such as :func:`border`
+    gives, in row-major order.
 
     The result is the full multiset; deduplicate with ``set`` for
     membership tests.  Windows may contain the border symbol, so they
@@ -205,14 +145,15 @@ def subgrids(bg: BorderedGrid, r: int, s: int) -> list[Window]:
     """
     if r < 1 or s < 1:
         raise WindowTooLarge("window sides must be at least 1")
-    if r > bg.rows or s > bg.cols:
+    rows, cols = len(cells), len(cells[0])
+    if r > rows or s > cols:
         raise WindowTooLarge(
-            f"window {r}x{s} does not fit in {bg.rows}x{bg.cols}"
+            f"window {r}x{s} does not fit in {rows}x{cols}"
         )
-    out: list[Window] = []
-    for i in range(bg.rows - r + 1):
-        for j in range(bg.cols - s + 1):
-            out.append(tuple(row[j : j + s] for row in bg.cells[i : i + r]))
+    out: list[Cells] = []
+    for i in range(rows - r + 1):
+        for j in range(cols - s + 1):
+            out.append(tuple(row[j : j + s] for row in cells[i : i + r]))
     return out
 
 
@@ -276,5 +217,12 @@ def parse_grid(text: str) -> Grid:
 
 
 def format_grid(g: Grid) -> str:
-    """Render a grid in the text format accepted by :func:`parse_grid`."""
+    """Render a grid in the text format accepted by :func:`parse_grid`.
+
+    A one-column grid writes each row as one token, which reads back
+    split per character, so a letter longer than one character there
+    raises :class:`FormatError`.
+    """
+    if g.cols == 1 and any(len(letter) > 1 for (letter,) in g.cells):
+        raise FormatError("a one-column grid of multi-character letters cannot be serialized")
     return "\n".join(" ".join(row) for row in g.cells) + "\n"

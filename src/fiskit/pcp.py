@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import (
     FiskitError,
@@ -217,7 +216,7 @@ def compile_pcp(p: PcpInstance) -> FIS:
                             c_cls(i, k), c_state(j, i)))
 
     # marker cell where both index streams are already exhausted
-    trans.append(Transition(c_state(0, 0), "A", MARKER, "A", c_state(0, 0)))
+    trans.append(pad_transition())
 
     # open the reduction of pair i: both streams reach word i together,
     # or only one stream has it while the other is exhausted
@@ -268,6 +267,13 @@ def compile_pcp(p: PcpInstance) -> FIS:
         final_states=(c_state(0, 0),),
         final_classes=("A",) + tuple(m_class(i, 0, 0) for i in range(1, n + 1)),
     )
+
+
+def pad_transition() -> Transition:
+    """The marker cell of :func:`compile_pcp` where both index streams
+    are already exhausted; the only transition of the rows below a
+    finished reduction."""
+    return Transition(c_state(0, 0), "A", MARKER, "A", c_state(0, 0))
 
 
 def probe_transition() -> Transition:
@@ -332,40 +338,6 @@ def probe_witness(p: PcpInstance, indices) -> Grid:
     base = witness_from_solution(p, indices)
     padded = h_compose(base, grid([[MARKER]] * base.rows))
     return v_compose(padded, grid([[MARKER] * padded.cols]))
-
-
-class TransKind(Enum):
-    """What a compiled transition does, recoverable from its shape."""
-
-    X_SPELL = "x-spell"        # first row, spells a letter of an x word
-    Y_SPELL = "y-spell"        # second row, spells a letter of a y word
-    PAD = "pad"                # marker cell with both streams exhausted
-    OPEN_BOTH = "open-both"    # both streams start pair i together
-    OPEN_X = "open-x"          # x stream starts pair i, y stream exhausted
-    OPEN_Y = "open-y"          # y stream starts pair i, x stream exhausted
-    CARRY = "carry"            # moves a partially consumed pair eastwards
-
-
-def classify_transition(t: Transition) -> TransKind:
-    """Classify a transition of a :func:`compile_pcp` system."""
-    if t.north == "s" and t.letter != MARKER:
-        return TransKind.X_SPELL
-    if parse_name(t.north, "a") is not None:
-        return TransKind.Y_SPELL
-    if parse_name(t.west, "M") is not None:
-        return TransKind.CARRY
-    ij = parse_name(t.north, "c")
-    if t.west == "A" and t.letter == MARKER and ij is not None:
-        i, j = ij
-        if i == j == 0:
-            return TransKind.PAD
-        if i == j:
-            return TransKind.OPEN_BOTH
-        if j == 0:
-            return TransKind.OPEN_X
-        if i == 0:
-            return TransKind.OPEN_Y
-    raise ValueError(f"not a compiled-shape transition: {t}")
 
 
 def parse_pcp(text: str) -> PcpInstance:

@@ -22,7 +22,6 @@ from fiskit.fis import (
     recognize,
     recognize_with_transition,
     render_scenario,
-    unused_elements,
     validate,
 )
 from fiskit.grids import grid
@@ -67,8 +66,6 @@ def test_unused_elements_are_reported_not_rejected(f1):
         final_states=f1.final_states, final_classes=f1.final_classes,
     )
     assert validate(extended) == []
-    assert unused_elements(extended)["letters"] == ("d",)
-    assert unused_elements(extended)["states"] == ("9",)
     assert recognize(extended, grid([["a"]])) is not None
 
 

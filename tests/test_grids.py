@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fiskit.errors import (
     ColumnMismatch,
@@ -12,7 +12,6 @@ from fiskit.errors import (
     InvalidLetter,
     RowMismatch,
     WindowTooLarge,
-    ZeroIteration,
 )
 from fiskit.grids import (
     BORDER,
@@ -21,27 +20,30 @@ from fiskit.grids import (
     format_grid,
     grid,
     h_compose,
-    h_iterate,
     parse_grid,
     subgrids,
     v_compose,
-    v_iterate,
 )
 
 letters = st.sampled_from(["a", "b"])
-small_grids = st.integers(1, 3).flatmap(
-    lambda q: st.lists(
-        st.lists(letters, min_size=q, max_size=q), min_size=1, max_size=3
-    )
-).map(grid)
+
+
+def grids_over(cells):
+    """Grids of one to three rows and columns with letters from ``cells``."""
+    return st.integers(1, 3).flatmap(
+        lambda q: st.lists(
+            st.lists(cells, min_size=q, max_size=q), min_size=1, max_size=3
+        )
+    ).map(grid)
+
+
+small_grids = grids_over(letters)
 
 
 def test_construction_and_shape():
     g = grid([["a", "b"], ["c", "a"]])
     assert (g.rows, g.cols) == (2, 2)
     assert g.cells[1][0] == "c"
-    assert g.letters == {"a", "b", "c"}
-    assert g.row_text(0) == "ab"
 
 
 def test_empty_grids_are_rejected():
@@ -94,25 +96,12 @@ def test_compose_mismatches():
         h_compose(grid([["a"]]), grid([["a"], ["b"]]))
 
 
-def test_iterates():
-    g = grid([["a", "b"]])
-    assert v_iterate(g, 3).cells == (("a", "b"),) * 3
-    assert h_iterate(g, 2).cells == (("a", "b", "a", "b"),)
-    assert v_iterate(g, 1) == g
-    with pytest.raises(ZeroIteration):
-        v_iterate(g, 0)
-    with pytest.raises(ZeroIteration):
-        h_iterate(g, -1)
-
-
 def test_border_frames_with_reserved_symbol():
-    bg = border(grid([["a"]]))
-    assert bg.cells == (
+    assert border(grid([["a"]])) == (
         ("#", "#", "#"),
         ("#", "a", "#"),
         ("#", "#", "#"),
     )
-    assert (bg.rows, bg.cols) == (3, 3)
 
 
 def test_subgrids_of_smallest_bordered_grid():
@@ -155,30 +144,16 @@ def test_v_compose_associative(gs):
     assert v_compose(v_compose(a, b), c) == v_compose(a, v_compose(b, c))
 
 
-@given(small_grids, st.integers(1, 3))
-def test_iterate_sizes(g, k):
-    assert v_iterate(g, k).rows == k * g.rows
-    assert h_iterate(g, k).cols == k * g.cols
-
-
-@given(small_grids, st.integers(2, 3))
-def test_iterate_unfolds(g, k):
-    assert v_iterate(g, k) == v_compose(g, v_iterate(g, k - 1))
-    assert h_iterate(g, k) == h_compose(g, h_iterate(g, k - 1))
-
-
 @given(small_grids, st.integers(1, 2), st.integers(1, 2))
 def test_subgrids_multiset_size(g, r, s):
-    bg = border(g)
-    assert len(subgrids(bg, r, s)) == (bg.rows - r + 1) * (bg.cols - s + 1)
+    assert len(subgrids(border(g), r, s)) == (g.rows + 3 - r) * (g.cols + 3 - s)
 
 
 @given(small_grids)
 def test_border_only_frame_is_reserved(g):
-    bg = border(g)
-    for i, row in enumerate(bg.cells):
+    for i, row in enumerate(border(g)):
         for j, cell in enumerate(row):
-            on_frame = i in (0, bg.rows - 1) or j in (0, bg.cols - 1)
+            on_frame = i in (0, g.rows + 1) or j in (0, g.cols + 1)
             assert (cell == BORDER) == on_frame
 
 
@@ -208,6 +183,15 @@ def test_parse_errors():
         parse_grid("a #\n")
 
 
-@given(small_grids)
+@given(grids_over(st.sampled_from(["a", "b", "ab", "#a"])))
+@example(grid([["ab"]]))
+@example(grid([["#a"], ["b"]]))
 def test_format_parse_round_trip(g):
-    assert parse_grid(format_grid(g)) == g
+    # a one-column row is written as one token, which reads back split
+    # per character, so only one-character letters survive there
+    try:
+        text = format_grid(g)
+    except FormatError:
+        assert g.cols == 1 and any(len(a) > 1 for (a,) in g.cells)
+    else:
+        assert parse_grid(text) == g

@@ -113,3 +113,29 @@ def test_unused_import_guard_allows_used_names():
               "from typing import Sequence\nfrom . import grids\n"
               "def f(x: Sequence) -> None:\n    return grids.grid(os.path.sep)\n")
     assert unused_imports(source) == []
+
+
+# the public API in full: adding or removing a name changes this list,
+# and README with it
+PUBLIC = """
+    BORDER CheckResult ColumnMismatch FIS FinitenessReport FiskitError
+    FormatError Grid IndexOutOfRange InvalidGrid InvalidLetter
+    InvalidSolution LocalLanguage MARKER NotAReductionFis
+    NotReductionScenario PcpInstance ReservedSymbolCollision RowMismatch
+    Scenario SearchBounds StructuralReport Tile TileSystem Transition
+    UnknownLetter UnknownTransition WindowTooLarge analysis border
+    bounded_accessibility bounded_emptiness check_scenario check_solution
+    cli compile_pcp compile_pcp_probe enumerate_language errors
+    finiteness_evidence first_accepted fis fis_to_tiles
+    format_finiteness_report format_fis format_grid format_pcp
+    format_structural_report format_tiles grid grids h_compose
+    iter_accepted local_member main pad_transition parse_fis parse_grid
+    parse_pcp parse_tiles pcp probe_transition probe_witness quote
+    recognize recognize_with_transition render_scenario solve_pcp
+    structural_check subgrids tile tile_token tiles tiles_to_fis
+    ts_language ts_recognize v_compose validate witness_from_solution
+""".split()
+
+
+def test_public_api_is_pinned():
+    assert sorted(fiskit.__all__) == sorted(PUBLIC)

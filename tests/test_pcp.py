@@ -11,20 +11,19 @@ from fiskit.errors import (
     InvalidSolution,
     ReservedSymbolCollision,
 )
-from fiskit.fis import Transition, recognize, recognize_with_transition, validate
-from fiskit.grids import grid, h_iterate, v_compose
+from fiskit.fis import recognize, recognize_with_transition, validate
+from fiskit.grids import grid, h_compose, v_compose
 from fiskit.pcp import (
     MARKER,
     PcpInstance,
-    TransKind,
     a_state,
     c_state,
     check_solution,
-    classify_transition,
     compile_pcp,
     compile_pcp_probe,
     format_pcp,
     m_class,
+    pad_transition,
     parse_name,
     parse_pcp,
     probe_transition,
@@ -119,27 +118,29 @@ def test_compiled_names_render_by_position():
 
 def test_unit_instance_row_one_transitions():
     s = compile_pcp(P_UNIT)
-    spell = [t for t in s.transitions
-             if classify_transition(t) is TransKind.X_SPELL]
+    spell = [t for t in s.transitions if t.north == "s"]
     assert spell == [("s", "A", "a", "A", "a(1,1)")]
 
 
 def test_exactly_one_pad_transition():
+    assert pad_transition() == ("c(0,0)", "A", MARKER, "A", "c(0,0)")
     for p, _ in SOLVABLE:
-        s = compile_pcp(p)
-        pads = [t for t in s.transitions
-                if classify_transition(t) is TransKind.PAD]
-        assert pads == [("c(0,0)", "A", MARKER, "A", "c(0,0)")]
+        assert compile_pcp(p).transitions.count(pad_transition()) == 1
 
 
 def test_marker_joins_the_alphabet_last():
     assert compile_pcp(P_TWO).alphabet == ("a", "b", MARKER)
 
 
-def test_every_compiled_transition_classifies():
+def test_marker_is_read_exactly_below_the_spelling_rows():
+    # the spelling rows leave s or a(i,j) states; every other compiled
+    # transition reads the marker, so a marker row never spells
     for p, _ in SOLVABLE:
-        for t in compile_pcp(p).transitions:
-            classify_transition(t)
+        transitions = compile_pcp(p).transitions
+        for t in transitions:
+            spelling = t.north == "s" or parse_name(t.north, "a") is not None
+            assert (t.letter == MARKER) != spelling, t
+        assert transitions.count(pad_transition()) == 1
 
 
 def test_name_codec_round_trips_and_is_strict():
@@ -150,8 +151,6 @@ def test_name_codec_round_trips_and_is_strict():
                        ("xc(1,2)", "c"), ("c(1,2)x", "c"), ("c(-1,2)", "c"),
                        ("c(1, 2)", "c"), ("c(,)", "c")):
         assert parse_name(name, kind) is None, name
-    with pytest.raises(ValueError):
-        classify_transition(Transition("c(1,2,3)", "A", MARKER, "A", "c(0,0)"))
 
 
 def test_probe_extension_counts():
@@ -218,7 +217,7 @@ def test_doubled_solutions_need_their_own_witness():
         assert check_solution(p, sol + sol)
         assert recognize(s, witness_from_solution(p, sol + sol)) is not None
         w = witness_from_solution(p, sol)
-        assert recognize(s, h_iterate(w, 2)) is None
+        assert recognize(s, h_compose(w, w)) is None
 
 
 def test_probe_fires_only_at_the_padded_corner():
