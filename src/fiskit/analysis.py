@@ -6,8 +6,11 @@ grid sizes up to given limits, deterministically, and report what they
 find.  For systems produced by :func:`fiskit.pcp.compile_pcp` the found
 scenarios have a rigid shape (two rows spelling a word equation, then
 marker rows reducing it); :func:`structural_check` verifies that shape
-claim by claim and :func:`finiteness_evidence` confirms that a found
-witness pumps vertically, so a nonempty language is infinite.
+claim by claim, reading each compiled name by comparing it with the
+names :mod:`fiskit.pcp` writes.  :func:`finiteness_evidence` confirms
+that a found witness pumps vertically, on any system where the padding
+law holds for :func:`fiskit.pcp.pad_transition`, so a nonempty
+language is infinite.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from .fis import (
     Transition,
     check_scenario,
     first_accepted,
+    live_transitions,
     recognize,
 )
 from .grids import Grid, grid, v_compose
-from .pcp import MARKER, PcpInstance, c_state, compile_pcp, m_class, pad_transition, parse_name
+from .pcp import MARKER, PcpInstance, a_state, c_state, compile_pcp, m_class, pad_transition
 
 
 @dataclass(frozen=True)
@@ -82,36 +86,29 @@ class FinitenessReport:
         return "nonempty, but the padded witness was rejected"
 
 
-def _is_reduction_fis(f: FIS) -> bool:
-    # the shape compile_pcp guarantees and vertical padding relies on
-    def settled_marker(name: str) -> bool:
-        parsed = parse_name(name, "M")
-        return parsed is not None and parsed[1:] == (0, 0)
-    return (
-        f.initial_states == ("s",)
-        and f.initial_classes == ("A",)
-        and f.final_states == (c_state(0, 0),)
-        and len(f.final_classes) >= 1
-        and f.final_classes[0] == "A"
-        and all(settled_marker(c) for c in f.final_classes[1:])
-        and pad_transition() in f.transitions
-    )
-
-
 def finiteness_evidence(f_s: FIS, b: SearchBounds) -> FinitenessReport:
     """Search for a witness and confirm it extends by one padding row.
 
-    Only systems with the compiled-reduction shape support the padding
-    law; anything else raises :class:`NotAReductionFis`.
+    The padding law needs the pad transition ``p = pad_transition()``
+    to be live, the final states to be exactly ``{p.north}``, ``p.west``
+    to be an initial class and ``p.east`` a final class.  Then a row of
+    ``p`` cells extends every accepted grid, and so does the next such
+    row.  A system that fails one of these raises
+    :class:`NotAReductionFis`, which names it.
     """
-    if not _is_reduction_fis(f_s):
-        raise NotAReductionFis(
-            "vertical padding is only sound for compiled reduction systems")
+    pad = pad_transition()
+    for holds, what in (
+            (pad in live_transitions(f_s), f"the pad transition {' '.join(pad)} is not live"),
+            (set(f_s.final_states) == {pad.north}, f"the final states are not just {pad.north}"),
+            (pad.west in f_s.initial_classes, f"{pad.west} is not an initial class"),
+            (pad.east in f_s.final_classes, f"{pad.east} is not a final class")):
+        if not holds:
+            raise NotAReductionFis(f"no padding law: {what}")
     found = bounded_emptiness(f_s, b)
     if found is None:
         return FinitenessReport(b, None, None, None)
     w, _ = found
-    pumped = v_compose(w, grid([MARKER * w.cols]))
+    pumped = v_compose(w, grid([[pad.letter] * w.cols]))
     accepted = recognize(f_s, pumped) is not None
     return FinitenessReport(b, w, pumped, accepted)
 
@@ -139,55 +136,42 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class StructuralReport:
-    """Per-claim verdicts over one accepting scenario of a compiled
-    reduction system; failing verdicts carry the witnessing positions."""
+    """Verdicts over one accepting scenario of a compiled reduction
+    system, one ``(name, result)`` claim each in report order; failing
+    verdicts carry the witnessing positions."""
 
-    frame: CheckResult
-    spelling: CheckResult
-    index_streams: CheckResult
-    marker_rows: CheckResult
-    carry_streams: CheckResult
-    tail_rows: CheckResult
-    east_border: CheckResult
+    claims: tuple[tuple[str, CheckResult], ...]
     x_indices: tuple[int, ...]
     y_indices: tuple[int, ...]
 
-    def checks(self) -> tuple[tuple[str, CheckResult], ...]:
-        return (
-            ("frame", self.frame),
-            ("spelling", self.spelling),
-            ("index-streams", self.index_streams),
-            ("marker-rows", self.marker_rows),
-            ("carry-streams", self.carry_streams),
-            ("tail-rows", self.tail_rows),
-            ("east-border", self.east_border),
-        )
-
     @property
     def ok(self) -> bool:
-        return all(c.ok for _, c in self.checks())
+        return all(c.ok for _, c in self.claims)
 
 
 def _row_souths(sc: Scenario, r: int) -> tuple[str, ...]:
     return tuple(t.south for t in sc.cell_runs[r - 1])
 
 
+def _pair_table(p: PcpInstance) -> dict[str, tuple[int, int]]:
+    """The index pair of each pair state that ``compile_pcp(p)`` declares."""
+    return {c_state(i, j): (i, j) for i in range(p.pairs + 1) for j in range(p.pairs + 1)}
+
+
 def _x_blocks(p: PcpInstance, souths, letters) -> tuple[list[int] | None, str]:
     """Word indices spelled by the first row, from its south states."""
+    starts = {a_state(i, 1): i for i in range(1, p.pairs + 1)}
     xs: list[int] = []
     pos, q = 0, len(souths)
     while pos < q:
-        ij = parse_name(souths[pos], "a")
-        if ij is None or ij[1] != 1:
+        i = starts.get(souths[pos])
+        if i is None:
             return None, f"column {pos + 1}: {souths[pos]!r} does not open a word"
-        i = ij[0]
-        if not 1 <= i <= len(p.x):
-            return None, f"column {pos + 1}: word index {i} out of range"
         word = p.x[i - 1]
         for off, ch in enumerate(word):
             if pos + off >= q:
                 return None, f"column {q}: word {i} truncated at the border"
-            if parse_name(souths[pos + off], "a") != (i, off + 1):
+            if souths[pos + off] != a_state(i, off + 1):
                 return None, (f"column {pos + off + 1}: "
                               f"{souths[pos + off]!r} breaks word {i}")
             if letters[pos + off] != ch:
@@ -218,6 +202,10 @@ def _y_chunks(p: PcpInstance, seconds, letters) -> tuple[list[int] | None, str]:
     return ys, ""
 
 
+def _failures(fails: list[str]) -> CheckResult:
+    return CheckResult(not fails, "; ".join(fails[:3]))
+
+
 def structural_check(p: PcpInstance, sc: Scenario,
                      compiled: FIS | None = None) -> StructuralReport:
     """Verify, claim by claim, that an accepting scenario of the
@@ -225,7 +213,8 @@ def structural_check(p: PcpInstance, sc: Scenario,
 
     Raises :class:`NotReductionScenario` unless ``sc`` replays as an
     accepting scenario of ``compile_pcp(p)``; a caller that already
-    holds that system passes it as ``compiled``.
+    holds that system passes it as ``compiled``.  Compiled names are
+    read by comparing them with the names ``compile_pcp`` writes.
     """
     if compiled is None:
         compiled = compile_pcp(p)
@@ -236,24 +225,22 @@ def structural_check(p: PcpInstance, sc: Scenario,
     m, q = sc.grid.rows, sc.grid.cols
     cells = sc.grid.cells
 
-    fails = []
-    if m < 3:
-        fails.append(f"only {m} rows")
+    fails = [f"only {m} rows"] if m < 3 else []
     fails += [f"north border column {i + 1} is {s!r}"
               for i, s in enumerate(sc.b_n) if s != "s"]
     fails += [f"west border row {i + 1} is {c!r}"
               for i, c in enumerate(sc.b_w) if c != "A"]
     fails += [f"south border column {i + 1} is {s!r}"
               for i, s in enumerate(sc.b_s) if s != c_state(0, 0)]
-    frame = CheckResult(not fails, "; ".join(fails[:3]))
+    frame = _failures(fails)
 
     xs = ys = None
     if m >= 2:
         xs, x_err = _x_blocks(p, _row_souths(sc, 1), cells[0])
-        pairs = [parse_name(s, "c") for s in _row_souths(sc, 2)]
+        pair_of = _pair_table(p)
+        pairs = [pair_of.get(s) for s in _row_souths(sc, 2)]
         if None in pairs:
-            t = pairs.index(None)
-            y_err = f"column {t + 1}: not a pair state"
+            y_err = f"column {pairs.index(None) + 1}: not a pair state"
         else:
             ys, y_err = _y_chunks(p, [b for _, b in pairs], cells[1])
         spell_fails = []
@@ -268,14 +255,9 @@ def structural_check(p: PcpInstance, sc: Scenario,
     else:
         spelling = CheckResult(False, "fewer than two rows")
 
-    marker_fails = []
-    for r in range(3, m + 1):
-        for t in range(q):
-            if cells[r - 1][t] != MARKER:
-                marker_fails.append(f"row {r} column {t + 1}: letter "
-                                    f"{cells[r - 1][t]!r}")
-    marker_rows = CheckResult(not marker_fails, "; ".join(marker_fails[:3]))
-
+    marker_rows = _failures([f"row {r} column {t + 1}: letter {cells[r - 1][t]!r}"
+                             for r in range(3, m + 1) for t in range(q)
+                             if cells[r - 1][t] != MARKER])
     if xs is None or ys is None:
         index_streams = carry_streams = tail_rows = east_border = CheckResult(
             False, "word factorization not derivable")
@@ -283,29 +265,19 @@ def structural_check(p: PcpInstance, sc: Scenario,
         why = _stream_mismatch(p, pairs, xs, ys, 0)
         index_streams = CheckResult(not why, why)
         carry_streams = _carry_streams(p, sc, xs, ys)
-        k = len(xs)
         pad = pad_transition()
-        tail_fails = []
-        for r in range(k + 3, m + 1):
-            for t in range(q):
-                if sc.cell_runs[r - 1][t] != pad:
-                    tail_fails.append(f"row {r} column {t + 1}")
-        tail_rows = CheckResult(not tail_fails, "; ".join(tail_fails[:3]))
-
+        tail_rows = _failures([f"row {r} column {t + 1}"
+                               for r in range(len(xs) + 3, m + 1) for t in range(q)
+                               if sc.cell_runs[r - 1][t] != pad])
         want_e = ("A", "A") + tuple(m_class(i, 0, 0) for i in xs) \
             + ("A",) * max(0, m - len(xs) - 2)
-        if sc.b_e == want_e:
-            east_border = CheckResult(True, "")
-        else:
-            east_border = CheckResult(
-                False, f"east border {sc.b_e} differs from {want_e}")
+        east_border = CheckResult(True, "") if sc.b_e == want_e else CheckResult(
+            False, f"east border {sc.b_e} differs from {want_e}")
 
-    return StructuralReport(
-        frame=frame, spelling=spelling, index_streams=index_streams,
-        marker_rows=marker_rows, carry_streams=carry_streams,
-        tail_rows=tail_rows, east_border=east_border,
-        x_indices=tuple(xs or ()), y_indices=tuple(ys or ()),
-    )
+    claims = (("frame", frame), ("spelling", spelling), ("index-streams", index_streams),
+              ("marker-rows", marker_rows), ("carry-streams", carry_streams),
+              ("tail-rows", tail_rows), ("east-border", east_border))
+    return StructuralReport(claims, tuple(xs or ()), tuple(ys or ()))
 
 
 def _carry_streams(p: PcpInstance, sc: Scenario,
@@ -319,9 +291,10 @@ def _carry_streams(p: PcpInstance, sc: Scenario,
     m = sc.grid.rows
     if m < k + 2:
         return CheckResult(False, f"{m} rows cannot host {k} reduction rows")
+    pair_of = _pair_table(p)
     for step in range(k + 1):
         souths = _row_souths(sc, step + 2)
-        pairs = [parse_name(s, "c") for s in souths]
+        pairs = [pair_of.get(s) for s in souths]
         if None in pairs:
             t = pairs.index(None)
             return CheckResult(False, f"row {step + 2} column {t + 1}: "
@@ -351,7 +324,7 @@ def _stream_mismatch(p: PcpInstance, pairs, xs: list[int], ys: list[int],
 
 def format_structural_report(rep: StructuralReport) -> str:
     lines = []
-    for name, check in rep.checks():
+    for name, check in rep.claims:
         status = "pass" if check.ok else "FAIL"
         lines.append(f"{name}: {status}" + (f" {check.detail}" if check.detail
                                             and not check.ok else ""))

@@ -95,14 +95,19 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _cmd_check_empty(args) -> int:
-    f = parse_fis(_read(args.fis))
-    found = bounded_emptiness(f, SearchBounds(args.max_rows, args.max_cols))
+def _verdict(found: tuple | None, no: str) -> int:
+    """Print a search's first grid and exit 0, or the word ``no`` and exit 1."""
     if found is None:
-        print("EMPTY-WITHIN-BOUNDS")
+        print(no)
         return 1
     sys.stdout.write(format_grid(found[0]))
     return 0
+
+
+def _cmd_check_empty(args) -> int:
+    f = parse_fis(_read(args.fis))
+    return _verdict(bounded_emptiness(f, SearchBounds(args.max_rows, args.max_cols)),
+                    "EMPTY-WITHIN-BOUNDS")
 
 
 def _cmd_check_access(args) -> int:
@@ -110,13 +115,9 @@ def _cmd_check_access(args) -> int:
     tokens = args.trans.split()
     if len(tokens) != 5:
         raise FormatError("--trans needs five tokens: north west letter east south")
-    found = bounded_accessibility(f, Transition(*tokens),
-                                  SearchBounds(args.max_rows, args.max_cols))
-    if found is None:
-        print("INACCESSIBLE-WITHIN-BOUNDS")
-        return 1
-    sys.stdout.write(format_grid(found[0]))
-    return 0
+    return _verdict(bounded_accessibility(f, Transition(*tokens),
+                                          SearchBounds(args.max_rows, args.max_cols)),
+                    "INACCESSIBLE-WITHIN-BOUNDS")
 
 
 def _cmd_convert(args) -> int:

@@ -58,8 +58,10 @@ class IndexOutOfRange(FiskitError):
 # bounded analyses
 
 class NotAReductionFis(FiskitError):
-    """An operation specific to compiled correspondence recognizers was
-    applied to a system without the compiled shape."""
+    """The padding law does not hold: the pad transition is not live,
+    the final states are not just its north state, its west class is
+    not initial or its east class is not final.  The message names the
+    condition that failed."""
 
 
 class NotReductionScenario(FiskitError):

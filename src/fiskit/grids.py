@@ -177,9 +177,9 @@ def read_keys(text: str, counts: dict[str, int | None]) -> dict[str, list]:
     for n, line in content_lines(text):
         key, sep, rest = line.partition(":")
         key, tokens = key.strip(), rest.split()
-        if not sep or key not in counts:
+        count = counts.get(key, ...)  # a count is an int or None, never ...
+        if not sep or count is ...:
             raise FormatError(f"line {n}: expected 'key: ...' with a key in {list(counts)}")
-        count = counts[key]
         if count is None:
             doc[key].extend(tokens)
         elif len(tokens) == count:

@@ -19,7 +19,6 @@ these systems are undecidable too; the bounded searches in
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -142,21 +141,6 @@ def c_state(i: int, j: int) -> str:
 
 def m_class(i: int, j: int, k: int) -> str:
     return f"M({i},{j},{k})"
-
-
-_NAME_RES = {
-    "a": re.compile(r"a\((\d+),(\d+)\)\Z"),
-    "c": re.compile(r"c\((\d+),(\d+)\)\Z"),
-    "M": re.compile(r"M\((\d+),(\d+),(\d+)\)\Z"),
-}
-
-
-def parse_name(name: str, kind: str) -> tuple[int, ...] | None:
-    """The indices of a compiled name of ``kind`` (``"a"``, ``"c"`` or
-    ``"M"``), the inverse of :func:`a_state`, :func:`c_state` and
-    :func:`m_class`; ``None`` when ``name`` is not such a name."""
-    match = _NAME_RES[kind].match(name)
-    return tuple(int(g) for g in match.groups()) if match else None
 
 
 def compile_pcp(p: PcpInstance) -> FIS:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from fiskit.analysis import (
@@ -18,15 +21,18 @@ from fiskit.analysis import (
     _y_chunks,
 )
 from fiskit.errors import NotAReductionFis, NotReductionScenario, UnknownTransition
-from fiskit.fis import Transition, check_scenario, iter_accepted, recognize
+from fiskit.fis import FIS, Transition, check_scenario, iter_accepted, recognize
+from fiskit.grids import grid, v_compose
 from fiskit.pcp import (
     PcpInstance,
     compile_pcp,
     compile_pcp_probe,
+    pad_transition,
     probe_transition,
     solve_pcp,
     witness_from_solution,
 )
+from generators import random_fis
 
 P_UNIT = PcpInstance(x=("a",), y=("a",))
 P_TWO = PcpInstance(x=("ab", "b"), y=("a", "bb"))
@@ -159,6 +165,57 @@ def test_finiteness_rejects_foreign_systems(f1):
     # no longer applies as-is
     with pytest.raises(NotAReductionFis):
         finiteness_evidence(compile_pcp_probe(P_UNIT), SearchBounds(3, 3))
+
+
+def test_finiteness_names_the_failed_condition():
+    # the pad is declared but cannot fire: $ is not a letter of the system
+    pad = pad_transition()
+    f = FIS(alphabet=("x",), states=("s", pad.north), classes=("A",),
+            transitions=(Transition("s", "A", "x", "A", pad.north), pad),
+            initial_states=("s",), initial_classes=("A",),
+            final_states=(pad.north,), final_classes=("A",))
+    with pytest.raises(NotAReductionFis, match="pad transition .* is not live"):
+        finiteness_evidence(f, SearchBounds(2, 2))
+    with pytest.raises(NotAReductionFis, match="final states are not just c"):
+        finiteness_evidence(compile_pcp_probe(P_UNIT), SearchBounds(3, 3))
+    f = compile_pcp(P_UNIT)
+    for broken, why in ((replace(f, initial_classes=("Z",)), "A is not an initial class"),
+                        (replace(f, final_classes=f.final_classes[1:]), "A is not a final class")):
+        with pytest.raises(NotAReductionFis, match=why):
+            finiteness_evidence(broken, SearchBounds(3, 3))
+
+
+def test_finiteness_holds_beyond_the_compiled_final_classes():
+    # an extra final class leaves the padding law intact
+    f = compile_pcp(P_UNIT)
+    rep = finiteness_evidence(replace(f, classes=f.classes + ("Z",),
+                                      final_classes=f.final_classes + ("Z",)),
+                              SearchBounds(5, 4))
+    assert rep == finiteness_evidence(f, SearchBounds(5, 4))
+    assert rep.pumped_accepted
+
+
+def test_padding_law_extends_every_witness_by_two_rows():
+    pad = pad_transition()
+    rng = random.Random(20261019)
+    witnesses = 0
+    for _ in range(150):
+        f = random_fis(rng)
+        emit = [t._replace(south=pad.north) for t in f.transitions if rng.random() < 0.5]
+        g = FIS(alphabet=f.alphabet + (pad.letter,), states=f.states + (pad.north,),
+                classes=f.classes,
+                transitions=tuple(dict.fromkeys([*f.transitions, *emit, pad])),
+                initial_states=f.initial_states,
+                initial_classes=tuple(dict.fromkeys(f.initial_classes + (pad.west,))),
+                final_states=(pad.north,),
+                final_classes=tuple(dict.fromkeys(f.final_classes + (pad.east,))))
+        rep = finiteness_evidence(g, SearchBounds(3, 3))
+        if rep.witness is not None:
+            witnesses += 1
+            pad_row = grid([[pad.letter] * rep.witness.cols])
+            assert rep.pumped_accepted
+            assert recognize(g, v_compose(rep.pumped, pad_row)) is not None
+    assert witnesses >= 10
 
 
 def test_structural_unit_witness():

@@ -1,5 +1,5 @@
 """Modules of the package use only each other's public names, and use
-every name they import."""
+every name they import; so do the tests and the demos."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import fiskit
 
 SRC = Path(fiskit.__file__).parent
 MODULES = {path.stem for path in SRC.glob("*.py")}
+TESTS = Path(__file__).parent
+SCRIPTS = sorted([*TESTS.glob("*.py"), *(TESTS.parent / "demos").glob("*.py")])
 
 
 def _private(name: str) -> bool:
@@ -96,6 +98,11 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("name", sorted(MODULES - {"__init__"}))
 def test_every_imported_name_is_used(name):
     assert unused_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_tests_and_demos_use_every_imported_name(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("source", [

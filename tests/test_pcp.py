@@ -17,14 +17,11 @@ from fiskit.pcp import (
     MARKER,
     PcpInstance,
     a_state,
-    c_state,
     check_solution,
     compile_pcp,
     compile_pcp_probe,
     format_pcp,
-    m_class,
     pad_transition,
-    parse_name,
     parse_pcp,
     probe_transition,
     probe_witness,
@@ -137,20 +134,11 @@ def test_marker_is_read_exactly_below_the_spelling_rows():
     # transition reads the marker, so a marker row never spells
     for p, _ in SOLVABLE:
         transitions = compile_pcp(p).transitions
+        spelled = {"s"} | {a_state(i, j) for i in range(1, p.pairs + 1)
+                           for j in range(1, len(p.x[i - 1]) + 1)}
         for t in transitions:
-            spelling = t.north == "s" or parse_name(t.north, "a") is not None
-            assert (t.letter == MARKER) != spelling, t
+            assert (t.letter == MARKER) != (t.north in spelled), t
         assert transitions.count(pad_transition()) == 1
-
-
-def test_name_codec_round_trips_and_is_strict():
-    assert parse_name(a_state(3, 12), "a") == (3, 12)
-    assert parse_name(c_state(0, 0), "c") == (0, 0)
-    assert parse_name(m_class(1, 0, 2), "M") == (1, 0, 2)
-    for name, kind in (("c(1,2)", "a"), ("c(1,2,3)", "c"), ("M(1,2)", "M"),
-                       ("xc(1,2)", "c"), ("c(1,2)x", "c"), ("c(-1,2)", "c"),
-                       ("c(1, 2)", "c"), ("c(,)", "c")):
-        assert parse_name(name, kind) is None, name
 
 
 def test_probe_extension_counts():
