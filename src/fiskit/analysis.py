@@ -149,15 +149,6 @@ class StructuralReport:
         return all(c.ok for _, c in self.claims)
 
 
-def _row_souths(sc: Scenario, r: int) -> tuple[str, ...]:
-    return tuple(t.south for t in sc.cell_runs[r - 1])
-
-
-def _pair_table(p: PcpInstance) -> dict[str, tuple[int, int]]:
-    """The index pair of each pair state that ``compile_pcp(p)`` declares."""
-    return {c_state(i, j): (i, j) for i in range(p.pairs + 1) for j in range(p.pairs + 1)}
-
-
 def _x_blocks(p: PcpInstance, souths, letters) -> tuple[list[int] | None, str]:
     """Word indices spelled by the first row, from its south states."""
     starts = {a_state(i, 1): i for i in range(1, p.pairs + 1)}
@@ -224,6 +215,9 @@ def structural_check(p: PcpInstance, sc: Scenario,
 
     m, q = sc.grid.rows, sc.grid.cols
     cells = sc.grid.cells
+    souths = [[t.south for t in run] for run in sc.cell_runs]
+    pair_of = {c_state(i, j): (i, j) for i in range(p.pairs + 1) for j in range(p.pairs + 1)}
+    pairs = [[pair_of.get(s) for s in row] for row in souths[1:]]
 
     fails = [f"only {m} rows"] if m < 3 else []
     fails += [f"north border column {i + 1} is {s!r}"
@@ -231,18 +225,16 @@ def structural_check(p: PcpInstance, sc: Scenario,
     fails += [f"west border row {i + 1} is {c!r}"
               for i, c in enumerate(sc.b_w) if c != "A"]
     fails += [f"south border column {i + 1} is {s!r}"
-              for i, s in enumerate(sc.b_s) if s != c_state(0, 0)]
+              for i, s in enumerate(souths[-1]) if s != c_state(0, 0)]
     frame = _failures(fails)
 
     xs = ys = None
     if m >= 2:
-        xs, x_err = _x_blocks(p, _row_souths(sc, 1), cells[0])
-        pair_of = _pair_table(p)
-        pairs = [pair_of.get(s) for s in _row_souths(sc, 2)]
-        if None in pairs:
-            y_err = f"column {pairs.index(None) + 1}: not a pair state"
+        xs, x_err = _x_blocks(p, souths[0], cells[0])
+        if None in pairs[0]:
+            y_err = f"column {pairs[0].index(None) + 1}: not a pair state"
         else:
-            ys, y_err = _y_chunks(p, [b for _, b in pairs], cells[1])
+            ys, y_err = _y_chunks(p, [b for _, b in pairs[0]], cells[1])
         spell_fails = []
         if cells[0] != cells[1]:
             t = next(i for i in range(q) if cells[0][i] != cells[1][i])
@@ -262,9 +254,9 @@ def structural_check(p: PcpInstance, sc: Scenario,
         index_streams = carry_streams = tail_rows = east_border = CheckResult(
             False, "word factorization not derivable")
     else:
-        why = _stream_mismatch(p, pairs, xs, ys, 0)
+        why = _stream_mismatch(p, pairs[0], xs, ys, 0)
         index_streams = CheckResult(not why, why)
-        carry_streams = _carry_streams(p, sc, xs, ys)
+        carry_streams = _carry_streams(p, souths[1:], pairs, xs, ys, why)
         pad = pad_transition()
         tail_rows = _failures([f"row {r} column {t + 1}"
                                for r in range(len(xs) + 3, m + 1) for t in range(q)
@@ -280,26 +272,28 @@ def structural_check(p: PcpInstance, sc: Scenario,
     return StructuralReport(claims, tuple(xs or ()), tuple(ys or ()))
 
 
-def _carry_streams(p: PcpInstance, sc: Scenario,
-                   xs: list[int], ys: list[int]) -> CheckResult:
+def _carry_streams(p: PcpInstance, souths, pairs, xs: list[int], ys: list[int],
+                   first: str) -> CheckResult:
     """Each marker row consumes one solution pair: the south border of
     row p+2 starts with as many zeros as letters already reduced and
-    then repeats the remaining word indices, on both stream components."""
+    then repeats the remaining word indices, on both stream components.
+
+    ``souths[r]`` holds the south states of row ``r + 2`` and
+    ``pairs[r]`` their index pairs, ``None`` where a state is no pair
+    state; ``first`` is the comparison of row 2, step 0, as
+    :func:`_stream_mismatch` gives it."""
     if xs != ys:
         return CheckResult(False, f"x words {xs} differ from y words {ys}")
     k = len(xs)
-    m = sc.grid.rows
-    if m < k + 2:
-        return CheckResult(False, f"{m} rows cannot host {k} reduction rows")
-    pair_of = _pair_table(p)
+    if len(pairs) < k + 1:
+        return CheckResult(False, f"{len(pairs) + 1} rows cannot host {k} reduction rows")
     for step in range(k + 1):
-        souths = _row_souths(sc, step + 2)
-        pairs = [pair_of.get(s) for s in souths]
-        if None in pairs:
-            t = pairs.index(None)
+        row = pairs[step]
+        if None in row:
+            t = row.index(None)
             return CheckResult(False, f"row {step + 2} column {t + 1}: "
-                                      f"{souths[t]!r} is not a pair state")
-        why = _stream_mismatch(p, pairs, xs, ys, step)
+                                      f"{souths[step][t]!r} is not a pair state")
+        why = _stream_mismatch(p, row, xs, ys, step) if step else first
         if why:
             return CheckResult(False, f"row {step + 2}: {why}")
     return CheckResult(True, f"k={k}")

@@ -157,18 +157,30 @@ def live_transitions(f: FIS) -> tuple[Transition, ...]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """An accepted parse: one transition per cell plus the four borders.
+    """An accepted parse: one transition per cell, row by row.
 
-    ``b_n`` and ``b_s`` hold one state per column, ``b_w`` and ``b_e``
-    one class per row.
+    The borders are read off the runs: ``b_n`` and ``b_s`` hold one
+    state per column, ``b_w`` and ``b_e`` one class per row.
     """
 
     grid: Grid
     cell_runs: tuple[tuple[Transition, ...], ...]
-    b_n: tuple[str, ...]
-    b_w: tuple[str, ...]
-    b_s: tuple[str, ...]
-    b_e: tuple[str, ...]
+
+    @property
+    def b_n(self) -> tuple[str, ...]:
+        return tuple(t.north for t in self.cell_runs[0])
+
+    @property
+    def b_w(self) -> tuple[str, ...]:
+        return tuple(row[0].west for row in self.cell_runs)
+
+    @property
+    def b_s(self) -> tuple[str, ...]:
+        return tuple(t.south for t in self.cell_runs[-1])
+
+    @property
+    def b_e(self) -> tuple[str, ...]:
+        return tuple(row[-1].east for row in self.cell_runs)
 
 
 def check_scenario(f: FIS, sc: Scenario) -> list[str]:
@@ -182,42 +194,30 @@ def check_scenario(f: FIS, sc: Scenario) -> list[str]:
     m, q = g.rows, g.cols
     if len(sc.cell_runs) != m or any(len(r) != q for r in sc.cell_runs):
         return [f"cell_runs shape is not {m}x{q}"]
-    if len(sc.b_n) != q or len(sc.b_s) != q or len(sc.b_w) != m or len(sc.b_e) != m:
-        return ["border lengths do not match the grid"]
 
     declared = set(f.transitions)
-    for i in range(m):
-        for j in range(q):
-            t = sc.cell_runs[i][j]
+    above = sc.b_n  # the borders are the runs' own, so only inner edges can disagree
+    for i, (run, letters) in enumerate(zip(sc.cell_runs, g.cells)):
+        west = run[0].west
+        for j, (t, letter) in enumerate(zip(run, letters)):
             if t not in declared:
                 out.append(f"cell ({i},{j}) uses undeclared transition {t}")
-            if t.letter != g.cells[i][j]:
-                out.append(f"cell ({i},{j}) letter {t.letter!r} != grid {g.cells[i][j]!r}")
-            north = sc.b_n[j] if i == 0 else sc.cell_runs[i - 1][j].south
-            if t.north != north:
-                out.append(f"cell ({i},{j}) north {t.north!r} != incoming {north!r}")
-            west = sc.b_w[i] if j == 0 else sc.cell_runs[i][j - 1].east
+            if t.letter != letter:
+                out.append(f"cell ({i},{j}) letter {t.letter!r} != grid {letter!r}")
+            if t.north != above[j]:
+                out.append(f"cell ({i},{j}) north {t.north!r} != incoming {above[j]!r}")
             if t.west != west:
                 out.append(f"cell ({i},{j}) west {t.west!r} != incoming {west!r}")
-    for j in range(q):
-        if sc.b_s[j] != sc.cell_runs[m - 1][j].south:
-            out.append(f"b_s[{j}] does not match the last row")
-    for i in range(m):
-        if sc.b_e[i] != sc.cell_runs[i][q - 1].east:
-            out.append(f"b_e[{i}] does not match the last column")
+            west = t.east
+        above = [t.south for t in run]
 
-    for j, s in enumerate(sc.b_n):
-        if s not in f.initial_states:
-            out.append(f'b_n[{j}]="{s}" is not an initial state')
-    for i, c in enumerate(sc.b_w):
-        if c not in f.initial_classes:
-            out.append(f'b_w[{i}]="{c}" is not an initial class')
-    for j, s in enumerate(sc.b_s):
-        if s not in f.final_states:
-            out.append(f'b_s[{j}]="{s}" is not a final state')
-    for i, c in enumerate(sc.b_e):
-        if c not in f.final_classes:
-            out.append(f'b_e[{i}]="{c}" is not a final class')
+    for side, names, allowed, what in (
+            ("b_n", sc.b_n, f.initial_states, "an initial state"),
+            ("b_w", sc.b_w, f.initial_classes, "an initial class"),
+            ("b_s", sc.b_s, f.final_states, "a final state"),
+            ("b_e", sc.b_e, f.final_classes, "a final class")):
+        out += [f'{side}[{k}]="{name}" is not {what}'
+                for k, name in enumerate(names) if name not in allowed]
     return out
 
 
@@ -228,26 +228,16 @@ def render_scenario(sc: Scenario) -> str:
     the south border, each above/below its letter column.  Class rows
     carry the west border class, then letter and class alternating.
     """
-    m, q = sc.grid.rows, sc.grid.cols
-    nslots = 2 * q + 1
-    lines: list[list[str]] = []
-    for i in range(m + 1):
-        srow = [""] * nslots
-        for j in range(q):
-            srow[2 * j + 1] = sc.b_n[j] if i == 0 else sc.cell_runs[i - 1][j].south
-        lines.append(srow)
-        if i < m:
-            crow = [""] * nslots
-            crow[0] = sc.b_w[i]
-            for j in range(q):
-                crow[2 * j + 1] = sc.grid.cells[i][j]
-                crow[2 * j + 2] = sc.cell_runs[i][j].east
-            lines.append(crow)
-    widths = [max(len(line[k]) for line in lines) for k in range(nslots)]
-    text = []
-    for line in lines:
-        text.append(" ".join(tok.ljust(w) for tok, w in zip(line, widths)).rstrip())
-    return "\n".join(text) + "\n"
+    def state_row(states: Iterable[str]) -> list[str]:
+        return ["", *chain.from_iterable((s, "") for s in states)]
+
+    lines = [state_row(sc.b_n)]
+    for run, letters in zip(sc.cell_runs, sc.grid.cells):
+        lines.append([run[0].west, *chain.from_iterable(
+            (letter, t.east) for letter, t in zip(letters, run))])
+        lines.append(state_row(t.south for t in run))
+    widths = [max(map(len, slot)) for slot in zip(*lines)]
+    return "".join(" ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
 
 
 def parse_fis(text: str) -> FIS:
@@ -501,8 +491,6 @@ class _Engine:
         if not any(self._accepts(f, q, track) for f in layers[n]):
             return
         useful = self._useful(layers, m, q, track)
-        if _START not in useful[0]:
-            return
         names, make, letters = self.letter_names, self.grid, range(len(self.letter_names))
         steps: dict[tuple[int, frozenset[int], int], frozenset[int]] = {}
         # depth first over the cells, one letter iterator per cell on an
@@ -586,11 +574,7 @@ class _Engine:
                 return None
         run = self.leaving.transitions([moves[i - 1][2] for moves, _rest, _shift, i in stack])
         cell_runs = tuple(tuple(run[r * q:(r + 1) * q]) for r in range(m))
-        return Scenario(grid=g, cell_runs=cell_runs,
-                        b_n=tuple(t.north for t in cell_runs[0]),
-                        b_w=tuple(row[0].west for row in cell_runs),
-                        b_s=tuple(t.south for t in cell_runs[-1]),
-                        b_e=tuple(row[-1].east for row in cell_runs))
+        return Scenario(grid=g, cell_runs=cell_runs)
 
 
 def recognize(f: FIS, w: Grid) -> Scenario | None:

@@ -17,6 +17,7 @@ from fiskit.analysis import (
     format_structural_report,
     structural_check,
     _carry_streams,
+    _stream_mismatch,
     _x_blocks,
     _y_chunks,
 )
@@ -25,6 +26,7 @@ from fiskit.fis import FIS, Transition, check_scenario, iter_accepted, recognize
 from fiskit.grids import grid, v_compose
 from fiskit.pcp import (
     PcpInstance,
+    c_state,
     compile_pcp,
     compile_pcp_probe,
     pad_transition,
@@ -270,10 +272,30 @@ def test_word_factorization_failure_positions():
 
 
 def test_carry_stream_failure_texts():
+    pair_of = {c_state(i, j): (i, j) for i in range(3) for j in range(3)}
+
+    def carry(souths, xs, ys):
+        # rows 2 to m as structural_check passes them
+        pairs = [[pair_of.get(s) for s in row] for row in souths]
+        first = _stream_mismatch(P_TWO, pairs[0], xs, ys, 0)
+        return _carry_streams(P_TWO, souths, pairs, xs, ys, first)
+
     sc = recognize(compile_pcp(P_TWO), witness_from_solution(P_TWO, (1, 2)))
-    assert _carry_streams(P_TWO, sc, [2, 1], [2, 1]) == CheckResult(
+    souths = [[t.south for t in run] for run in sc.cell_runs[1:]]
+    assert souths[1] == ["c(0,0)", "c(0,2)", "c(2,2)"]
+    assert carry(souths, [2, 1], [2, 1]) == CheckResult(
         False, "row 2: first stream [1, 1, 2] differs from [2, 1, 1]")
-    assert _carry_streams(P_TWO, sc, [1, 2], [1, 2]) == CheckResult(True, "k=2")
+    assert carry(souths, [1, 2], [1, 2]) == CheckResult(True, "k=2")
+    assert carry(souths, [1, 2], [2, 1]) == CheckResult(
+        False, "x words [1, 2] differ from y words [2, 1]")
+    assert carry(souths[:2], [1, 2], [1, 2]) == CheckResult(
+        False, "3 rows cannot host 2 reduction rows")
+    # below row 2: a state that is no pair state, and a second stream
+    # with one letter more reduced than the first step consumed
+    assert carry([souths[0], souths[1], ["c(0,0)", "a(1,1)", "c(0,0)"]], [1, 2], [1, 2]) \
+        == CheckResult(False, "row 4 column 2: 'a(1,1)' is not a pair state")
+    assert carry([souths[0], ["c(0,0)", "c(0,0)", "c(2,2)"], souths[2]], [1, 2], [1, 2]) \
+        == CheckResult(False, "row 3: second stream [0, 0, 2] differs from [0, 2, 2]")
 
 
 def test_check_result_defaults():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -25,7 +27,7 @@ from fiskit.fis import (
     validate,
 )
 from fiskit.grids import grid
-from fiskit.pcp import PcpInstance, format_pcp, parse_pcp
+from fiskit.pcp import PcpInstance, compile_pcp, format_pcp, parse_pcp, witness_from_solution
 from fiskit.tiles import fis_to_tiles, format_tiles, parse_tiles
 
 
@@ -42,6 +44,13 @@ def test_validate_flags_undeclared_final_state(f1):
     )
     diags = validate(bad)
     assert any(d.startswith('UndeclaredState "3"') for d in diags)
+
+
+def test_validate_flags_undeclared_parts_of_a_transition(f1):
+    t = Transition("9", "Z", "z", "A", "1")
+    assert validate(replace(f1, transitions=(t,))) == [
+        f'UndeclaredState "9" in {t}', f'UndeclaredClass "Z" in {t}',
+        f'UndeclaredLetter "z" in {t}']
 
 
 def test_validate_flags_duplicates_and_bad_names(f1):
@@ -115,13 +124,46 @@ def test_recognize_with_transition(f1, diag3, diag1):
         recognize_with_transition(f1, diag1, Transition("9", "A", "a", "B", "2"))
 
 
+def tamper(sc, i, j, t):
+    """``sc`` with cell (i, j) run by ``t``."""
+    runs = [list(run) for run in sc.cell_runs]
+    runs[i][j] = Transition(*t)
+    return Scenario(grid=sc.grid, cell_runs=tuple(map(tuple, runs)))
+
+
 def test_scenario_replay_catches_tampering(f1, diag2):
+    swapped = tamper(recognize(f1, diag2), 0, 0, ("2", "A", "a", "B", "2"))
+    assert swapped.b_n == ("2", "1")
+    assert check_scenario(f1, swapped) == [
+        "cell (0,0) uses undeclared transition "
+        "Transition(north='2', west='A', letter='a', east='B', south='2')",
+        'b_n[0]="2" is not an initial state']
+
+
+def test_scenario_replay_checks_shape_declarations_and_letters(f1, diag2):
     sc = recognize(f1, diag2)
-    swapped = Scenario(
-        grid=sc.grid, cell_runs=sc.cell_runs,
-        b_n=("2", "1"), b_w=sc.b_w, b_s=sc.b_s, b_e=sc.b_e,
-    )
-    assert check_scenario(f1, swapped) != []
+    assert check_scenario(f1, Scenario(sc.grid, sc.cell_runs[:1])) == [
+        "cell_runs shape is not 2x2"]
+    assert check_scenario(replace(f1, transitions=f1.transitions[:2]), sc) == [
+        "cell (1,0) uses undeclared transition "
+        "Transition(north='2', west='A', letter='c', east='A', south='2')"]
+    assert check_scenario(f1, Scenario(grid([["a", "c"], ["c", "a"]]), sc.cell_runs)) == [
+        "cell (0,1) letter 'b' != grid 'c'"]
+
+
+@pytest.mark.parametrize("i, j, t, problem", [
+    (1, 0, ("1", "A", "c", "A", "2"), "cell (1,0) north '1' != incoming '2'"),
+    (1, 1, ("1", "B", "a", "B", "2"), "cell (1,1) west 'B' != incoming 'A'"),
+    (0, 0, ("2", "A", "a", "B", "2"), 'b_n[0]="2" is not an initial state'),
+    (1, 0, ("2", "B", "c", "A", "2"), 'b_w[1]="B" is not an initial class'),
+    (1, 1, ("1", "A", "a", "B", "1"), 'b_s[1]="1" is not a final state'),
+    (0, 1, ("1", "B", "b", "A", "1"), 'b_e[0]="A" is not a final class'),
+])
+def test_scenario_replay_names_each_broken_rule(f1, diag2, i, j, t, problem):
+    # every transition is declared, so each tampered cell breaks one rule
+    loose = replace(f1, transitions=product(f1.states, f1.classes, f1.alphabet,
+                                            f1.classes, f1.states))
+    assert check_scenario(loose, tamper(recognize(f1, diag2), i, j, t)) == [problem]
 
 
 def test_enumerate_language_diagonals(f1, diag1, diag2, diag3):
@@ -155,6 +197,21 @@ def test_render_scenario_layout(f1, diag3):
     assert lines[1].split() == ["A", "a", "B", "b", "B", "b", "B"]
     assert lines[2].split() == ["2", "1", "1"]
     assert lines[6].split() == ["2", "2", "2"]
+
+
+def test_render_scenario_pads_each_column_to_its_widest_name():
+    p = PcpInstance(x=("ab", "b"), y=("a", "bb"))
+    sc = recognize(compile_pcp(p), witness_from_solution(p, (1, 2)))
+    assert render_scenario(sc) == (
+        "  s               s               s\n"
+        "A a      B(1,1)   b      A        b      A\n"
+        "  a(1,1)          a(1,2)          a(2,1)\n"
+        "A a      A        b      C(2,1)   b      A\n"
+        "  c(1,1)          c(1,2)          c(2,2)\n"
+        "A $      M(1,1,0) $      M(1,0,0) $      M(1,0,0)\n"
+        "  c(0,0)          c(0,2)          c(2,2)\n"
+        "A $      A        $      M(2,1,1) $      M(2,0,0)\n"
+        "  c(0,0)          c(0,0)          c(0,0)\n")
 
 
 def test_exactly_one_scenario_for_deterministic_systems(f1):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import oracles
@@ -55,6 +57,8 @@ def test_instance_validation():
         PcpInstance(x=("a$",), y=("a",))
     with pytest.raises(ReservedSymbolCollision):
         PcpInstance(x=("a",), y=("a",), alphabet=("a", "$"))
+    with pytest.raises(ValueError, match=re.escape("alphabet is missing letters ['b']")):
+        PcpInstance(x=("a",), y=("b",), alphabet=("a",))
 
 
 def test_alphabet_inferred_sorted():

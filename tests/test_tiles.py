@@ -130,6 +130,9 @@ def test_tile_system_requires_total_projection():
     with pytest.raises(ValueError):
         TileSystem(local=ll, target=("x",),
                    mapping=(("v", "x"), ("w", "z")))
+    with pytest.raises(ValueError, match="projection defined on unknown letter 'w'"):
+        TileSystem(local=LocalLanguage(alphabet=("v",), delta=corner_tiles("v")),
+                   target=("x",), mapping=(("v", "x"), ("w", "x")))
 
 
 def test_local_member_single_cell():
