@@ -21,17 +21,15 @@ from .errors import (
     RowMismatch,
     UnknownLetter,
     UnknownTransition,
-    WindowTooLarge,
 )
 from .grids import (
     BORDER,
     Grid,
-    border,
     format_grid,
     grid,
     h_compose,
     parse_grid,
-    subgrids,
+    windows,
     v_compose,
 )
 from .fis import (

@@ -27,10 +27,6 @@ class RowMismatch(FiskitError):
     """Horizontal composition of grids with different row counts."""
 
 
-class WindowTooLarge(FiskitError):
-    """A sliding window larger than the grid it scans."""
-
-
 # interactive systems
 
 class UnknownLetter(FiskitError):

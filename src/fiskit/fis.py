@@ -84,11 +84,11 @@ class FIS:
                   for t in self.transitions))
 
     @cached_property
-    def _engine(self) -> _Engine:
+    def _engine(self) -> Engine:
         """The system compiled once; every search on it reads this.  A
         cached property lives in the instance ``__dict__``, so the frozen
         fields, equality and hashing are untouched."""
-        return TransitionTable.of(self).compile()
+        return Engine.of(self)
 
 
 def validate(f: FIS) -> list[str]:
@@ -267,57 +267,17 @@ def format_fis(f: FIS) -> str:
 _START = 0  # before the first cell: no field drawn, no class, not used
 
 
-class TransitionTable(dict):
-    """A system numbered for the frontier engine: its letters by id,
-    states ``0..states-1``, classes ``0..classes-1``, the initial and
-    final id sets, and its transitions by (north, west) id pair.
+class Engine:
+    """A system numbered for frontier propagation, and every search on it.
 
-    An entry lists the transitions leaving its pair in canonical order
-    as ``(letter, east, south, index)``; ``names[index]`` records the
-    transition and :meth:`transitions` gives it.  :meth:`of` fills every
-    entry of a FIS at once.  A subclass may fill an entry on first
-    request in ``__missing__``, appending to ``names`` a record its
-    :meth:`transitions` spells out; here a missing entry has no
-    transitions.
-    """
-
-    def __init__(self, alphabet: Sequence[str], states: int, classes: int,
-                 initial: tuple[Sequence[int], ...], final: tuple[Sequence[int], ...]):
-        super().__init__()
-        self.alphabet, self.states, self.classes = list(alphabet), states, classes
-        self.initial_states, self.initial_classes = initial
-        self.final_states, self.final_classes = final
-        self.names: list[Transition] = []
-
-    def __missing__(self, key: tuple[int, int]) -> Sequence[tuple[int, int, int, int]]:
-        return ()
-
-    @classmethod
-    def of(cls, f: FIS) -> TransitionTable:
-        """The transitions of ``f`` that can fire, in declaration order."""
-        lid, sid, cid = ({name: i for i, name in enumerate(dict.fromkeys(names))}
-                         for names in (f.alphabet, f.states, f.classes))
-        ids = lambda table, names: tuple(dict.fromkeys(table[x] for x in names if x in table))
-        out = cls(lid, len(sid), len(cid),
-                  (ids(sid, f.initial_states), ids(cid, f.initial_classes)),
-                  (ids(sid, f.final_states), ids(cid, f.final_classes)))
-        for t in live_transitions(f):
-            out.setdefault((sid[t.north], cid[t.west]), []).append(
-                (lid[t.letter], cid[t.east], sid[t.south], len(out.names)))
-            out.names.append(t)
-        return out
-
-    def transitions(self, indices: Iterable[int]) -> list[Transition]:
-        """The transitions numbered ``indices``."""
-        return list(map(self.names.__getitem__, indices))
-
-    def compile(self) -> _Engine:
-        """The frontier engine over this table."""
-        return _Engine(self)
-
-
-class _Engine:
-    """A system compiled to integer tables for frontier propagation.
+    Letters have ids by ``letter_id``, states are ``0..states-1`` and
+    classes ``0..classes-1``.  ``entries`` lists the transitions leaving
+    each (north, west) id pair in canonical order as ``(letter, east,
+    south, index)``; ``names[index]`` records the transition and
+    :meth:`transitions` gives it.  :meth:`of` fills every entry of a FIS
+    at once.  A subclass may derive a missing entry on first request in
+    :meth:`entry`, appending to ``names`` a record its
+    :meth:`transitions` spells out.
 
     A frontier is one int:
 
@@ -343,37 +303,62 @@ class _Engine:
     frontiers (:meth:`run_exist`, :meth:`iter_size`).  One engine
     serves every search on its system (``FIS._engine``,
     ``TileSystem._engine``): the move table of each kind of frontier
-    grows across searches, and so does a transition table filled on
-    request; nothing else changes after compilation.  Forward layers
-    belong to the search that builds them, so a search stopped early
-    leaves none behind.
+    grows across searches, and so do entries derived on request;
+    nothing else changes after compilation.  Forward layers belong to
+    the search that builds them, so a search stopped early leaves none
+    behind.  The class is plain, not a ``dict``: the searches read its
+    attributes on every step.
     """
 
-    def __init__(self, table: TransitionTable):
-        self.letter_names = table.alphabet
-        self.grid = grids.grid_over(self.letter_names)
-        self.letter_id = {name: i for i, name in enumerate(self.letter_names)}
-        self.leaving = table
-        self.init_states, self.init_classes = table.initial_states, table.initial_classes
-        self.fin_fields = frozenset(s + 1 for s in table.final_states)
-        fin = table.final_classes  # a range, as a tile system's, needs no k^2 set
-        self.fin_classes = fin if isinstance(fin, range) else frozenset(fin)
+    def __init__(self, letter_id: dict[str, int], states: int, classes: int,
+                 initial: tuple[Sequence[int], Sequence[int]],
+                 final: tuple[Sequence[int], Sequence[int]]):
+        self.letter_id, self.letters = letter_id, list(letter_id)
+        self.grid = grids.grid_over(self.letters)
+        self.init_states, self.init_classes = initial
+        self.fin_fields = frozenset(s + 1 for s in final[0])
+        self.fin_classes = frozenset(final[1])
+        self.entries: dict[tuple[int, int], Sequence[tuple[int, int, int, int]]] = {}
+        self.names: list = []
 
-        self.field_bits = max(1, table.states.bit_length())
-        east_bits = max(1, table.classes.bit_length())
+        self.field_bits = max(1, states.bit_length())
+        east_bits = max(1, classes.bit_length())
         self.east_mask = ((1 << east_bits) - 1) << 1
         self.shift0 = 1 + east_bits
         self.moves: dict[tuple[bool, int, int], dict] = {}
 
+    @classmethod
+    def of(cls, f: FIS) -> Engine:
+        """``f`` compiled: the transitions that can fire, in declaration order."""
+        lid, sid, cid = ({name: i for i, name in enumerate(dict.fromkeys(names))}
+                         for names in (f.alphabet, f.states, f.classes))
+        ids = lambda table, names: tuple(dict.fromkeys(table[x] for x in names if x in table))
+        out = cls(lid, len(sid), len(cid),
+                  (ids(sid, f.initial_states), ids(cid, f.initial_classes)),
+                  (ids(sid, f.final_states), ids(cid, f.final_classes)))
+        for t in live_transitions(f):
+            out.entries.setdefault((sid[t.north], cid[t.west]), []).append(
+                (lid[t.letter], cid[t.east], sid[t.south], len(out.names)))
+            out.names.append(t)
+        return out
+
+    def entry(self, n: int, w: int) -> Sequence[tuple[int, int, int, int]]:
+        """The transitions leaving ``(n, w)``; here a missing entry has none."""
+        return self.entries.get((n, w), ())
+
+    def transitions(self, indices: Iterable[int]) -> list[Transition]:
+        """The transitions numbered ``indices``."""
+        return list(map(self.names.__getitem__, indices))
+
     def track(self, t: Transition | None) -> int | None:
         """The index of a transition to track, ``None`` for none.  Only
-        tables filled by :meth:`TransitionTable.of`, whose ``names`` are
-        the transitions, are tracked."""
+        engines filled by :meth:`of`, whose ``names`` are the
+        transitions, are tracked."""
         if t is None:
             return None
         t = Transition(*t)
         try:
-            return self.leaving.names.index(t)
+            return self.names.index(t)
         except ValueError:
             raise UnknownTransition(f"transition {t} is not declared") from None
 
@@ -390,7 +375,7 @@ class _Engine:
         out: dict[int | None, list] = {None: []}
         for n in self.init_states if field == 0 else (field - 1,):
             for w in self.init_classes if east == 0 else (east - 1,):
-                for letter, e, s, ti in self.leaving[n, w]:
+                for letter, e, s, ti in self.entry(n, w):
                     if not last:
                         move = (s + 1, (e + 1) << 1, ti)
                     elif e in self.fin_classes:
@@ -491,7 +476,7 @@ class _Engine:
         if not any(self._accepts(f, q, track) for f in layers[n]):
             return
         useful = self._useful(layers, m, q, track)
-        names, make, letters = self.letter_names, self.grid, range(len(self.letter_names))
+        names, make, letters = self.letters, self.grid, range(len(self.letters))
         steps: dict[tuple[int, frozenset[int], int], frozenset[int]] = {}
         # depth first over the cells, one letter iterator per cell on an
         # explicit stack, so depth is not limited by the recursion limit
@@ -572,7 +557,7 @@ class _Engine:
                 moves, rest, shift, i = stack.pop()
             else:
                 return None
-        run = self.leaving.transitions([moves[i - 1][2] for moves, _rest, _shift, i in stack])
+        run = self.transitions([moves[i - 1][2] for moves, _rest, _shift, i in stack])
         cell_runs = tuple(tuple(run[r * q:(r + 1) * q]) for r in range(m))
         return Scenario(grid=g, cell_runs=cell_runs)
 

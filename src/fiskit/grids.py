@@ -2,7 +2,7 @@
 
 A grid is a non-empty rectangular array of letters.  A letter is any
 token (:func:`is_token`) except the reserved border symbol ``#`` which
-only ever appears in the frame added by :func:`border`.
+only ever appears in the frame that :func:`windows` reads.
 
 Canonical grid order lives here too: :func:`sizes` lists the sizes in
 the order in which every language, of a system or of a tile system, is
@@ -22,7 +22,6 @@ from .errors import (
     InvalidGrid,
     InvalidLetter,
     RowMismatch,
-    WindowTooLarge,
 )
 
 BORDER = "#"
@@ -125,36 +124,15 @@ def h_compose(left: Grid, right: Grid) -> Grid:
     return Grid(tuple(a + b for a, b in zip(left.cells, right.cells)))
 
 
-def border(g: Grid) -> Cells:
-    """The (m+2) x (q+2) cells of ``g`` framed with the border symbol on
-    all four sides."""
-    frame_row = (BORDER,) * (g.cols + 2)
-    cells = (frame_row,)
-    for row in g.cells:
-        cells += ((BORDER,) + row + (BORDER,),)
-    return cells + (frame_row,)
-
-
-def subgrids(cells: Cells, r: int, s: int) -> list[Cells]:
-    """All contiguous r x s windows of ``cells``, such as :func:`border`
-    gives, in row-major order.
-
-    The result is the full multiset; deduplicate with ``set`` for
-    membership tests.  Windows may contain the border symbol, so they
-    are plain cell arrays rather than :class:`Grid` values.
-    """
-    if r < 1 or s < 1:
-        raise WindowTooLarge("window sides must be at least 1")
-    rows, cols = len(cells), len(cells[0])
-    if r > rows or s > cols:
-        raise WindowTooLarge(
-            f"window {r}x{s} does not fit in {rows}x{cols}"
-        )
-    out: list[Cells] = []
-    for i in range(rows - r + 1):
-        for j in range(cols - s + 1):
-            out.append(tuple(row[j : j + s] for row in cells[i : i + r]))
-    return out
+def windows(g: Grid) -> list[tuple[tuple[str, str], tuple[str, str]]]:
+    """The (m+1) x (q+1) 2x2 windows of ``g`` framed with the border
+    symbol on all four sides, in row-major order, each ``((nw, ne), (sw,
+    se))``.  The result is the full multiset; deduplicate with ``set``
+    for membership tests."""
+    frame = (BORDER,) * (g.cols + 2)
+    rows = [frame, *((BORDER, *row, BORDER) for row in g.cells), frame]
+    return [((top[j], top[j + 1]), (bottom[j], bottom[j + 1]))
+            for top, bottom in zip(rows, rows[1:]) for j in range(g.cols + 1)]
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:

@@ -93,8 +93,10 @@ def solve_pcp(p: PcpInstance, max_k: int):
     only while one concatenation is a prefix of the other, and distinct
     sequences with the same unmatched overhang are merged keeping the
     first.  Among shortest solutions the lexicographically least index
-    sequence is returned.
+    sequence is returned.  A bound below 1 is a ``ValueError``.
     """
+    if max_k < 1:
+        raise ValueError(f"max_k must be at least 1, not {max_k}")
     n = p.pairs
     # (indices, overhang, sign): sign +1 when the x side is ahead by
     # `overhang`, -1 when the y side is ahead, 0 only at the start

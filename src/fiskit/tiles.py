@@ -25,8 +25,8 @@ from itertools import chain, count
 from typing import Iterable
 
 from .errors import FormatError, InvalidLetter, UnknownLetter
-from .fis import FIS, Transition, TransitionTable, live_transitions
-from .grids import BORDER, Grid, border, check_letter, check_tokens, read_keys, subgrids
+from .fis import FIS, Engine, Transition, live_transitions
+from .grids import BORDER, Grid, check_letter, check_tokens, read_keys, windows
 
 # a 2x2 array of letters ((nw, ne), (sw, se)), the border symbol
 # permitted; the cyclic collector stops tracking tuples of strings, so
@@ -98,7 +98,7 @@ def local_member(ll: LocalLanguage, w: Grid) -> bool:
         for cell in row:
             if cell not in known:
                 raise UnknownLetter(f"letter {cell!r} is not in the alphabet")
-    return all(window in ll._index for window in subgrids(border(w), 2, 2))
+    return all(window in ll._index for window in windows(w))
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,11 @@ class TileSystem:
     def _engine(self):
         """The system of :func:`tiles_to_fis` compiled once, as for
         ``FIS._engine``, its transitions derived on first request."""
-        return _PairTable(self).compile()
+        return _PairTable(self)
 
 
-class _PairTable(TransitionTable):
-    """The pair-state system of a tile system, numbered for the engine.
+class _PairTable(Engine):
+    """The pair-state system of a tile system, as a frontier engine.
 
     A cell whose window is the tile ``(nw, ne / sw, se)`` reads the
     state ``(nw, ne)`` and the class ``(nw, sw)``, emits the class
@@ -157,9 +157,9 @@ class _PairTable(TransitionTable):
     closing class adds ``k * k``.  As every closing class emitted is
     final, the final classes are the range of flagged pairs.
 
-    There is no window table.  The table keeps the distinct tile rows
+    There is no window table.  The engine keeps the distinct tile rows
     by their first letter, and an entry is derived on first request
-    (``__missing__``): each row ``(sw, se)`` names a candidate, the
+    (:meth:`entry`): each row ``(sw, se)`` names a candidate, the
     tile index tells whether ``(nw, ne / sw, se)`` is a tile and where,
     and the moves follow tile order.  Compiling reads the distinct rows,
     not the tiles, and a search builds only the entries it reaches.
@@ -186,8 +186,8 @@ class _PairTable(TransitionTable):
             if (row, _FRAME) in index:
                 south.append(x * k + y)
         self.after = [tuple(a) for a in after]  # which the cyclic collector lets go
-        super().__init__(tid, 2 * kk, 2 * kk, ((0, kk), (0,)),
-                         (self.finals(south), range(kk, 2 * kk)))
+        super().__init__(tid, 2 * kk, 2 * kk, ((0, kk), (0,)), (self.finals(south), ()))
+        self.fin_classes = range(kk, 2 * kk)  # a range needs no k^2 set
 
     def finals(self, south: list[int]) -> list[int]:
         """The final states: the pairs ``south`` of the tiles ``(x, y / #,
@@ -207,17 +207,18 @@ class _PairTable(TransitionTable):
             if type(t) is tuple:  # ids, spelled out once
                 n, w, e, s = t
                 t = self.names[i] = Transition(
-                    self.name(n, "F"), self.name(w, "C"), self.alphabet[self.h[s % self.k]],
+                    self.name(n, "F"), self.name(w, "C"), self.letters[self.h[s % self.k]],
                     self.name(e, "C"), self.name(s, "F"))
             out.append(t)
         return out
 
-    def __missing__(self, key: tuple[int, int]) -> list[tuple[int, int, int, int]]:
-        n, w = key
+    def entry(self, n: int, w: int) -> list[tuple[int, int, int, int]]:
+        if (out := self.entries.get((n, w))) is not None:
+            return out
         k, kk = self.k, self.kk
         closing = n >= kk
         nw, ne = divmod(n % kk, k)
-        out = self[key] = []
+        out = self.entries[n, w] = []
         if w >= kk or w // k != nw:
             return out
         sw, flag = w % k, kk if closing else 0
@@ -334,19 +335,19 @@ def tiles_to_fis(ts: TileSystem) -> FIS:
     south, east = [], []
     for (nw, ne), (sw, se) in ts.local.delta:
         nw, ne, sw, se = lid[nw], lid[ne], lid[sw], lid[se]
-        table[nw * k + ne, nw * k + sw]
-        table[kk + nw * k + ne, nw * k + sw]
+        table.entry(nw * k + ne, nw * k + sw)
+        table.entry(kk + nw * k + ne, nw * k + sw)
         if sw == se == 0:
             south.append(nw * k + ne)
         if ne == se == 0:
             east.append(kk + nw * k + sw)
     trans = tuple(table.transitions(range(len(table.names))))
     init_s, fin_s = (tuple(table.name(i, "F") for i in ids)
-                     for ids in (table.initial_states, table.finals(south)))
+                     for ids in (table.init_states, table.finals(south)))
     init_c, fin_c = (tuple(table.name(i, "C") for i in ids)
-                     for ids in (table.initial_classes, east))
+                     for ids in (table.init_classes, east))
     return FIS(
-        alphabet=tuple(table.alphabet),
+        alphabet=tuple(table.letters),
         states=tuple(dict.fromkeys([*init_s, *fin_s, *(x for t in trans for x in (t.north, t.south))])),
         classes=tuple(dict.fromkeys([*init_c, *fin_c, *(x for t in trans for x in (t.west, t.east))])),
         transitions=trans,

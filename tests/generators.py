@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from fiskit.fis import FIS, Transition
-from fiskit.grids import BORDER, border, grid, subgrids
+from fiskit.grids import BORDER, grid, windows
 from fiskit.tiles import LocalLanguage, Tile, TileSystem
 
 
@@ -52,8 +52,7 @@ def random_tile_system(rng: random.Random, sources=("p", "q", "r"),
     for _ in range(rng.randint(1, 3)):
         m, q = rng.randint(1, 2), rng.randint(1, 2)
         g = grid([[rng.choice(sources) for _ in range(q)] for _ in range(m)])
-        for window in subgrids(border(g), 2, 2):
-            t = tuple(window)
+        for t in windows(g):
             if t not in seen:
                 seen.add(t)
                 tiles.append(t)

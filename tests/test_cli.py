@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from conftest import diagonal, make_f1, make_trivial
@@ -20,6 +22,7 @@ from fiskit.pcp import (
 )
 from fiskit.tiles import fis_to_tiles, parse_tiles
 
+ROOT = Path(__file__).resolve().parent.parent
 P_TWO = PcpInstance(x=("ab", "b"), y=("a", "bb"))
 P_NEG = PcpInstance(x=("ab",), y=("ba",))
 P_UNIT = PcpInstance(x=("a",), y=("a",))
@@ -111,6 +114,15 @@ def test_solve_pcp(files, capsys):
     code, text = run(capsys, "solve-pcp", "--pcp", files("n.pcp", format_pcp(P_NEG)),
                      "--max-k", "4")
     assert (code, text) == (1, "NONE\n")
+
+
+@pytest.mark.parametrize("max_k", ["0", "-1"])
+def test_solve_pcp_rejects_bounds_below_one(files, capsys, max_k):
+    code = cli.main(["solve-pcp", "--pcp", files("p.pcp", format_pcp(P_TWO)),
+                     "--max-k", max_k])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: max_k must be at least 1, not {max_k}\n")
 
 
 def test_witness_both_flavors(files, capsys):
@@ -260,3 +272,33 @@ def test_outputs_are_byte_stable(files, capsys):
     second = run(capsys, "check-empty", "--fis", s_path,
                  "--max-rows", "6", "--max-cols", "6")
     assert first == second
+
+
+def readme_round_trip() -> list[tuple[list[str], str, list[str]]]:
+    """README's "A round trip" block: each ``$ fiskit`` line's arguments,
+    the file its ``>`` sends stdout to (``""`` for none) and the lines
+    README shows it printing."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("A round trip:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    steps: list[tuple[list[str], str, list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ fiskit "):
+            argv, _, target = line.removeprefix("$ fiskit ").partition(" > ")
+            steps.append((argv.split(), target, []))
+        else:
+            steps[-1][2].append(line)
+    return steps
+
+
+def test_readme_round_trip_prints_what_readme_shows(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    steps = readme_round_trip()
+    assert len(steps) == 5
+    for argv, target, want in steps:
+        code, text = run(capsys, *(str(ROOT / a) if a.startswith("demos/") else a
+                                   for a in argv))
+        assert code == 0, argv
+        if target:
+            (tmp_path / target).write_text(text, encoding="utf-8")
+            text = ""
+        assert text.splitlines() == want, argv

@@ -11,18 +11,16 @@ from fiskit.errors import (
     InvalidGrid,
     InvalidLetter,
     RowMismatch,
-    WindowTooLarge,
 )
 from fiskit.grids import (
     BORDER,
-    border,
     check_letter,
     format_grid,
     grid,
     h_compose,
     parse_grid,
-    subgrids,
     v_compose,
+    windows,
 )
 
 letters = st.sampled_from(["a", "b"])
@@ -96,8 +94,21 @@ def test_compose_mismatches():
         h_compose(grid([["a"]]), grid([["a"], ["b"]]))
 
 
+def framed(g):
+    """The bordered grid, read back from the corners of its windows."""
+    m, q = g.rows, g.cols
+    ws = windows(g)
+    return tuple(
+        tuple(
+            ws[min(i, m) * (q + 1) + min(j, q)][i - min(i, m)][j - min(j, q)]
+            for j in range(q + 2)
+        )
+        for i in range(m + 2)
+    )
+
+
 def test_border_frames_with_reserved_symbol():
-    assert border(grid([["a"]])) == (
+    assert framed(grid([["a"]])) == (
         ("#", "#", "#"),
         ("#", "a", "#"),
         ("#", "#", "#"),
@@ -105,28 +116,18 @@ def test_border_frames_with_reserved_symbol():
 
 
 def test_subgrids_of_smallest_bordered_grid():
-    bg = border(grid([["a"]]))
-    windows = subgrids(bg, 2, 2)
-    assert len(windows) == 4
-    assert set(windows) == {
+    # the four windows of the bordered 1x1 grid, in row-major order
+    assert windows(grid([["a"]])) == [
         (("#", "#"), ("#", "a")),
         (("#", "#"), ("a", "#")),
         (("#", "a"), ("#", "#")),
         (("a", "#"), ("#", "#")),
-    }
+    ]
 
 
 def test_subgrids_window_count():
-    bg = border(grid([["a", "b", "b"], ["c", "a", "b"]]))  # bordered 4x5
-    assert len(subgrids(bg, 2, 2)) == 3 * 4
-
-
-def test_subgrids_too_large():
-    bg = border(grid([["a"]]))
-    with pytest.raises(WindowTooLarge):
-        subgrids(bg, 4, 2)
-    with pytest.raises(WindowTooLarge):
-        subgrids(bg, 2, 0)
+    g = grid([["a", "b", "b"], ["c", "a", "b"]])  # bordered 4x5
+    assert len(windows(g)) == 3 * 4
 
 
 same_width_triples = st.integers(1, 3).flatmap(
@@ -144,17 +145,22 @@ def test_v_compose_associative(gs):
     assert v_compose(v_compose(a, b), c) == v_compose(a, v_compose(b, c))
 
 
-@given(small_grids, st.integers(1, 2), st.integers(1, 2))
-def test_subgrids_multiset_size(g, r, s):
-    assert len(subgrids(border(g), r, s)) == (g.rows + 3 - r) * (g.cols + 3 - s)
+@given(small_grids)
+def test_subgrids_multiset_size(g):
+    assert len(windows(g)) == (g.rows + 1) * (g.cols + 1)
 
 
 @given(small_grids)
 def test_border_only_frame_is_reserved(g):
-    for i, row in enumerate(border(g)):
-        for j, cell in enumerate(row):
-            on_frame = i in (0, g.rows + 1) or j in (0, g.cols + 1)
-            assert (cell == BORDER) == on_frame
+    # window p's cell (di, dj) is cell (p // (q+1) + di, p % (q+1) + dj) of the framed grid
+    for p, window in enumerate(windows(g)):
+        i, j = divmod(p, g.cols + 1)
+        for di, row in enumerate(window):
+            for dj, cell in enumerate(row):
+                on_frame = i + di in (0, g.rows + 1) or j + dj in (0, g.cols + 1)
+                assert (cell == BORDER) == on_frame
+                if not on_frame:
+                    assert cell == g.cells[i + di - 1][j + dj - 1]
 
 
 def test_text_round_trip():

@@ -130,7 +130,7 @@ PUBLIC = """
     InvalidSolution LocalLanguage MARKER NotAReductionFis
     NotReductionScenario PcpInstance ReservedSymbolCollision RowMismatch
     Scenario SearchBounds StructuralReport Tile TileSystem Transition
-    UnknownLetter UnknownTransition WindowTooLarge analysis border
+    UnknownLetter UnknownTransition analysis
     bounded_accessibility bounded_emptiness check_scenario check_solution
     cli compile_pcp compile_pcp_probe enumerate_language errors
     finiteness_evidence first_accepted fis fis_to_tiles
@@ -139,8 +139,8 @@ PUBLIC = """
     iter_accepted local_member main pad_transition parse_fis parse_grid
     parse_pcp parse_tiles pcp probe_transition probe_witness quote
     recognize recognize_with_transition render_scenario solve_pcp
-    structural_check subgrids tile tile_token tiles tiles_to_fis
-    ts_language ts_recognize v_compose validate witness_from_solution
+    structural_check tile tile_token tiles tiles_to_fis
+    ts_language ts_recognize v_compose validate windows witness_from_solution
 """.split()
 
 
