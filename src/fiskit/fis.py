@@ -23,14 +23,16 @@ west class from the initial classes when the cell is parsed.
 
 A grid with fixed letters is recognized by a depth-first search that
 tries each frontier's moves in declaration order and remembers, per
-cell, the frontiers it already searched from.  The first accepting run
-it completes is the canonical scenario; on an accepted grid it is
-often found after one expansion per cell.  The bounded searches
-choose letters inside the propagation instead: the set of frontiers
-after a prefix depends only on the set before its last letter, so the
-letter walk memoizes each step per distinct set, an on-the-fly subset
-construction.  The scenario on a grid they find comes from the same
-depth-first search.
+cell, the frontiers it already searched from.  As a last-column move
+must emit a final class, a last-row move must emit a final state, so
+the search never backtracks over a bottom border that cannot accept.
+The first accepting run it completes is the canonical scenario; on an
+accepted grid it is often found after one expansion per cell.  The
+bounded searches choose letters inside the propagation instead: the
+set of frontiers after a prefix depends only on the set before its
+last letter, so the letter walk memoizes each step per distinct set,
+an on-the-fly subset construction.  The scenario on a grid they find
+comes from the same depth-first search.
 """
 
 from __future__ import annotations
@@ -295,8 +297,11 @@ class Engine:
     column of a row, successors whose east class is not final are
     dropped (the full east border must be final) and the east class is
     cleared, so the row's souths become the next row's norths in place.
-    After the last cell a frontier accepts when every field holds a
-    final state.
+    In the last row of a fixed-letter grid, successors whose south state
+    is not final are dropped the same way (the full south border must
+    be final); the frontier-set passes leave this out, as their layers
+    serve every height.  After the last cell a frontier accepts when
+    every field holds a final state.
 
     A fixed-letter grid is searched one frontier at a time, depth first
     (:meth:`scenario`); the bounded searches propagate sets of
@@ -362,48 +367,46 @@ class Engine:
         except ValueError:
             raise UnknownTransition(f"transition {t} is not declared") from None
 
-    def _moves(self, key: tuple[bool, int, int]) -> dict[int | None, list[tuple]]:
+    def _moves(self, key: tuple[bool, bool, int, int]) -> dict[int | None, list[tuple]]:
         """The moves of one kind of frontier by letter, in canonical order.
 
-        ``key`` is ``(last, field, east)``: whether the cursor is in the
-        last column, its field and the east class as stored.  Each move
-        is ``(field, east, transition index)``: the new field value and
-        the new east bits in place.  Letter ``None`` lists the moves of
-        every letter.
+        ``key`` is ``(last, bottom, field, east)``: whether the cursor is
+        in the last column, whether it is in the last row, its field and
+        the east class as stored.  Each move is ``(field, east,
+        transition index)``: the new field value and the new east bits
+        in place.  A last-column move needs a final east class and a
+        last-row move a final south state.  Letter ``None`` lists the
+        moves of every letter.
         """
-        last, field, east = key
+        last, bottom, field, east = key
         out: dict[int | None, list] = {None: []}
         for n in self.init_states if field == 0 else (field - 1,):
             for w in self.init_classes if east == 0 else (east - 1,):
                 for letter, e, s, ti in self.entry(n, w):
-                    if not last:
-                        move = (s + 1, (e + 1) << 1, ti)
-                    elif e in self.fin_classes:
-                        move = (s + 1, 0, ti)
-                    else:
+                    if (last and e not in self.fin_classes
+                            or bottom and s + 1 not in self.fin_fields):
                         continue
+                    move = (s + 1, 0 if last else (e + 1) << 1, ti)
                     out[None].append(move)
                     out.setdefault(letter, []).append(move)
         self.moves[key] = out
         return out
 
-    def _expand(self, f: int, j: int, q: int, letter: int | None) -> tuple[Sequence, int, int]:
-        """The moves of frontier ``f`` at column ``j`` on ``letter``
-        (``None``: every letter), ``f`` with the cursor's field and the
-        east bits cleared, and the cursor's shift: a move ``(field,
-        east, ...)`` leads to ``rest | field << shift | east``, with bit
-        0 set when it fires the tracked transition."""
+    def _column(self, j: int, q: int) -> tuple[bool, int, int]:
+        """Column ``j`` of ``q`` as a step reads it: whether it is the
+        last, the cursor's shift, and the mask that clears the cursor's
+        field and the east bits.  A move ``(field, east, ...)`` from
+        ``f`` leads to ``f & clear | field << shift | east``, with bit 0
+        set when it fires the tracked transition."""
         shift = self.shift0 + j * self.field_bits
-        fmask = (1 << self.field_bits) - 1
-        key = (j == q - 1, f >> shift & fmask, (f & self.east_mask) >> 1)
-        moves = self.moves.get(key) or self._moves(key)
-        return moves.get(letter, ()), f & ~(fmask << shift | self.east_mask), shift
+        return j == q - 1, shift, ~(((1 << self.field_bits) - 1) << shift | self.east_mask)
 
     def _succ(self, fset, j: int, q: int, letter: int | None, track: int | None):
         """Successors of the frontiers in ``fset`` at column ``j`` on
-        ``letter`` (``None``: every letter).  The lookup of
-        :meth:`_expand` is inlined: a call per frontier made sparse
-        systems' set-wide passes up to a fifth slower."""
+        ``letter`` (``None``: every letter), without the last-row rule,
+        as forward layers serve every height.  The move lookup is
+        inlined: a call per frontier made sparse systems' set-wide
+        passes up to a fifth slower."""
         shift = self.shift0 + j * self.field_bits
         fmask = (1 << self.field_bits) - 1
         emask = self.east_mask
@@ -411,7 +414,7 @@ class Engine:
         last = j == q - 1
         cache = self.moves
         for f in fset:
-            key = (last, f >> shift & fmask, (f & emask) >> 1)
+            key = (last, False, f >> shift & fmask, (f & emask) >> 1)
             moves = cache.get(key) or self._moves(key)
             rest = f & clear
             for field, east, ti in moves.get(letter, ()):
@@ -446,11 +449,14 @@ class Engine:
         n = m * q
         useful: list[set[int]] = [set() for _ in range(n)]
         useful.append({f for f in layers[n] if self._accepts(f, q, track)})
+        fmask, emask, cache = (1 << self.field_bits) - 1, self.east_mask, self.moves
         for p in range(n - 1, -1, -1):
             up, keep = useful[p + 1], useful[p]
+            last, shift, clear = self._column(p % q, q)
             for f in layers[p]:
-                moves, rest, shift = self._expand(f, p % q, q, None)
-                for field, east, ti in moves:
+                key = (last, False, f >> shift & fmask, (f & emask) >> 1)
+                rest = f & clear
+                for field, east, ti in (cache.get(key) or self._moves(key))[None]:
                     if (rest | field << shift | east | (ti == track)) in up:
                         keep.add(f)
                         break
@@ -520,36 +526,43 @@ class Engine:
 
         A depth-first search over the cells in row-major order tries
         each frontier's moves in canonical order, so the first accepting
-        run it completes is the lexicographically least one.  A frontier
-        met again after a cell was searched from there and led nowhere,
-        so each (cell, frontier) pair is expanded at most once; on an
-        accepted grid the search often goes straight down.  The stack
-        is explicit, one entry per cell, so depth is not limited by the
-        interpreter's recursion limit.
+        run it completes is the lexicographically least one.  Moves of
+        the last row that emit a non-final state lie on no accepting run
+        and are not tried.  A frontier met again after a cell was
+        searched from there and led nowhere, so each (cell, frontier)
+        pair is expanded at most once; on an accepted grid the search
+        often goes straight down.  The stack is explicit, one entry per
+        cell, so depth is not limited by the interpreter's recursion
+        limit.
         """
         ids, m, q = self.letter_id, g.rows, g.cols
         try:
             letters = [ids[a] for row in g.cells for a in row]
         except KeyError as e:
             raise UnknownLetter(f"letter {e.args[0]!r} is not in the alphabet") from None
-        n = m * q
+        n, bottom = m * q, m * q - q
+        cols = [self._column(j, q) for j in range(q)]
+        fmask, emask, cache = (1 << self.field_bits) - 1, self.east_mask, self.moves
         seen: list[set[int]] = [set() for _ in range(n)]
         stack: list[tuple] = []  # cells passed: moves, rest, shift, next move
-        moves, rest, shift = self._expand(_START, 0, q, letters[0])
-        i = 0
+        nf, moves = _START, None
         while True:
+            p = len(stack)
+            if moves is None:  # expand nf at cell p
+                last, shift, clear = cols[p % q]
+                key = (last, p >= bottom, nf >> shift & fmask, (nf & emask) >> 1)
+                moves = (cache.get(key) or self._moves(key)).get(letters[p], ())
+                rest, i = nf & clear, 0
             if i < len(moves):
                 field, east, ti = moves[i]
                 i += 1
                 nf = rest | field << shift | east | (ti == track)
-                p = len(stack)
                 if nf in seen[p]:
                     continue
                 seen[p].add(nf)
                 if p + 1 < n:
                     stack.append((moves, rest, shift, i))
-                    moves, rest, shift = self._expand(nf, (p + 1) % q, q, letters[p + 1])
-                    i = 0
+                    moves = None
                 elif self._accepts(nf, q, track):
                     stack.append((moves, rest, shift, i))
                     break

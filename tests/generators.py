@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from fiskit.fis import FIS, Transition
@@ -31,6 +32,22 @@ def random_fis(rng: random.Random, states=("1", "2", "3"), classes=("A", "B", "C
         initial_states=pick(states) or (states[0],),
         initial_classes=pick(classes) or (classes[0],),
         final_states=pick(states), final_classes=pick(classes),
+    )
+
+
+def dense_fis(rng: random.Random, density: float, final_states=("2", "3")) -> FIS:
+    """3 states, 2 classes, 2 letters, each of the 72 transitions kept
+    with probability ``density``; the first two states and both classes
+    are initial, both classes final.  By default the first-declared
+    state is not final, so a search that tries moves in declaration
+    order meets non-final souths first."""
+    states, classes, alphabet = ("1", "2", "3"), ("A", "B"), ("a", "b")
+    return FIS(
+        alphabet=alphabet, states=states, classes=classes,
+        transitions=tuple(t for t in itertools.product(states, classes, alphabet, classes, states)
+                          if rng.random() < density),
+        initial_states=states[:2], initial_classes=classes,
+        final_states=final_states, final_classes=classes,
     )
 
 

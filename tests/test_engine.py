@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from conftest import diagonal, make_f1, make_trivial
-from generators import random_fis
+from generators import dense_fis, random_fis
 from fiskit.errors import InvalidLetter
 from fiskit.fis import (
     FIS,
@@ -118,28 +118,52 @@ def test_profile_wider_than_a_machine_word():
     assert sc is not None and check_scenario(f, sc) == []
 
 
+class CountingMoves(dict):
+    """A move table that counts its lookups: a search looks up the
+    moves of each frontier it expands once."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def counted_moves(monkeypatch, f: FIS) -> CountingMoves:
+    """``f``'s engine with a counting move table swapped in."""
+    table = CountingMoves(f._engine.moves)
+    monkeypatch.setattr(f._engine, "moves", table)
+    return table
+
+
 def test_recognize_stops_at_the_first_accepting_run(monkeypatch):
     # every grid is accepted, so the search follows one run down and
     # never expands every frontier of every cell
-    moves = [0]
-    expand, succ = Engine._expand, Engine._succ
-
-    def counting_expand(self, f, j, q, letter):
-        found = expand(self, f, j, q, letter)
-        moves[0] += len(found[0])
-        return found
-
-    def counting_succ(self, fset, j, q, letter, track):
-        for nf in succ(self, fset, j, q, letter, track):
-            moves[0] += 1
-            yield nf
-
-    monkeypatch.setattr(Engine, "_expand", counting_expand)
-    monkeypatch.setattr(Engine, "_succ", counting_succ)
+    table = counted_moves(monkeypatch, UNIVERSAL)
     g = grid(["abbabaab", "babbaaba"])
     sc = recognize(UNIVERSAL, g)
     assert sc is not None and check_scenario(UNIVERSAL, sc) == []
-    assert moves[0] <= g.rows * g.cols * len(UNIVERSAL.transitions)
+    assert 0 < table.lookups <= g.rows * g.cols * len(UNIVERSAL.transitions)
+
+
+def test_dense_recognition_does_not_backtrack_through_the_last_row(monkeypatch):
+    # the first-declared state is not final, so a search that tests the
+    # bottom border only after the last cell tries almost every last-row
+    # run before an accepting one (3,275 frontiers on this 2x8 grid);
+    # with the last-row rule it expands one frontier per cell
+    rng = random.Random(501)
+    f = dense_fis(rng, 0.9)
+    table = counted_moves(monkeypatch, f)
+    for rows in (2, 1):  # on one row, the first row is the last
+        g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(rows)])
+        table.lookups = 0
+        sc = recognize(f, g)
+        assert sc is not None and check_scenario(f, sc) == []
+        assert 0 < table.lookups <= g.rows * g.cols
+        probe = sc.cell_runs[-1][4]
+        table.lookups = 0
+        assert recognize_with_transition(f, g, probe) == sc
+        assert 0 < table.lookups <= g.rows * g.cols
 
 
 def test_recognize_depth_is_not_limited_by_recursion():
@@ -187,31 +211,44 @@ def oracle_scenario(sc) -> dict | None:
             "b_n": list(sc.b_n), "b_w": list(sc.b_w)}
 
 
-@pytest.mark.parametrize("pools", [
-    {},
-    {"states": ("x", "x,y", "y"), "classes": ("x", "y,x", "y"),
-     "alphabet": ("x", "x,y", "y,x")},
-], ids=["default", "punctuated"])
-def test_recognize_is_the_oracles_first_scenario(pools):
+def punctuated_fis(rng: random.Random) -> FIS:
+    return random_fis(rng, states=("x", "x,y", "y"), classes=("x", "y,x", "y"),
+                      alphabet=("x", "x,y", "y,x"))
+
+
+def pruned_dense_fis(rng: random.Random) -> FIS:
+    """A system of the dense shape whose final states are a strict
+    subset, so the last-row rule drops moves; at density 0.2 the
+    oracle's full enumeration of scenarios stays quick."""
+    finals = tuple(sorted(rng.sample(("1", "2", "3"), rng.randint(1, 2))))
+    return dense_fis(rng, 0.2, finals)
+
+
+@pytest.mark.parametrize("draw, seed, systems", [
+    (random_fis, 5417, 25), (punctuated_fis, 5420, 25), (pruned_dense_fis, 7121, 6),
+], ids=["default", "punctuated", "last-row"])
+def test_recognize_is_the_oracles_first_scenario(draw, seed, systems):
     # the oracle backtracks in declaration order, so its first scenario
     # is the lexicographically least one: the canonical scenario
-    rng = random.Random(5417 + len(pools))
+    rng = random.Random(seed)
     shapes = sorted(set(oracles.sizes(2, 3)) | set(oracles.sizes(3, 2)))
     accepted = tracked = 0
-    for _ in range(25):
-        f = random_fis(rng, **pools)
+    for _ in range(systems):
+        f = draw(rng)
         for m, q in shapes:
             for g in oracles.all_grids(f.alphabet, m, q):
                 scenarios = oracles.all_scenarios(f, g)
                 want = scenarios[0] if scenarios else None
                 assert oracle_scenario(recognize(f, g)) == want, g.cells
                 accepted += want is not None
+                first = {}  # each transition's first scenario firing it
+                for sc in scenarios:
+                    for t in itertools.chain.from_iterable(sc["cells"]):
+                        first.setdefault(t, sc)
                 for t in f.transitions:
-                    first = next((sc for sc in scenarios
-                                  if any(t in row for row in sc["cells"])), None)
                     got = recognize_with_transition(f, g, t)
-                    assert oracle_scenario(got) == first, (g.cells, t)
-                    tracked += first is not None
+                    assert oracle_scenario(got) == first.get(t), (g.cells, t)
+                    tracked += t in first
     assert accepted >= 100 and tracked >= 100
 
 
