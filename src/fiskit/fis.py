@@ -22,12 +22,13 @@ north state from the initial states and a first-column cell draws its
 west class from the initial classes when the cell is parsed.
 
 A grid with fixed letters is recognized by a depth-first search that
-tries each frontier's moves in declaration order and remembers, per
-cell, the frontiers it already searched from.  As a last-column move
-must emit a final class, a last-row move must emit a final state, so
-the search never backtracks over a bottom border that cannot accept.
-The first accepting run it completes is the canonical scenario; on an
-accepted grid it is often found after one expansion per cell.  The
+tries each frontier's moves in declaration order, each found with one
+int lookup in a step table of its column, and remembers, per cell,
+the frontiers whose search failed.  As a last-column move must emit a
+final class, a last-row move must emit a final state, so the search
+never backtracks over a bottom border that cannot accept.  The first
+accepting run it completes is the canonical scenario; on an accepted
+grid it is often found after one expansion per cell.  The
 bounded searches choose letters inside the propagation instead: the
 set of frontiers after a prefix depends only on the set before its
 last letter, so the letter walk memoizes each step per distinct set,
@@ -307,12 +308,13 @@ class Engine:
     (:meth:`scenario`); the bounded searches propagate sets of
     frontiers (:meth:`run_exist`, :meth:`iter_size`).  One engine
     serves every search on its system (``FIS._engine``,
-    ``TileSystem._engine``): the move table of each kind of frontier
-    grows across searches, and so do entries derived on request;
-    nothing else changes after compilation.  Forward layers belong to
-    the search that builds them, so a search stopped early leaves none
-    behind.  The class is plain, not a ``dict``: the searches read its
-    attributes on every step.
+    ``TileSystem._engine``): the move table of each kind of frontier,
+    the step tables derived from it (:meth:`_step`) and the entries
+    derived on request grow across searches; nothing else changes
+    after compilation, and no table refers back to the engine.
+    Forward layers belong to the search that builds them, so a search
+    stopped early leaves none behind.  The class is plain, not a
+    ``dict``: the searches read its attributes on every step.
     """
 
     def __init__(self, letter_id: dict[str, int], states: int, classes: int,
@@ -330,7 +332,8 @@ class Engine:
         east_bits = max(1, classes.bit_length())
         self.east_mask = ((1 << east_bits) - 1) << 1
         self.shift0 = 1 + east_bits
-        self.moves: dict[tuple[bool, int, int], dict] = {}
+        self.moves: dict[tuple[bool, bool, int, int], dict] = {}
+        self.steps: dict[tuple[int, bool, bool, int | None], dict[int, tuple]] = {}
 
     @classmethod
     def of(cls, f: FIS) -> Engine:
@@ -355,16 +358,19 @@ class Engine:
         """The transitions numbered ``indices``."""
         return list(map(self.names.__getitem__, indices))
 
-    def track(self, t: Transition | None) -> int | None:
-        """The index of a transition to track, ``None`` for none.  Only
-        engines filled by :meth:`of`, whose ``names`` are the
-        transitions, are tracked."""
+    def track(self, t: Transition | None, declared: Sequence[Transition]) -> int | None:
+        """The index of a transition of ``declared`` to track, ``None``
+        for none, -1 for one that can never fire, as no move carries
+        it.  Only engines filled by :meth:`of`, whose ``names`` are the
+        transitions of ``declared`` that can fire, are tracked."""
         if t is None:
             return None
         t = Transition(*t)
         try:
             return self.names.index(t)
         except ValueError:
+            if t in declared:
+                return -1
             raise UnknownTransition(f"transition {t} is not declared") from None
 
     def _moves(self, key: tuple[bool, bool, int, int]) -> dict[int | None, list[tuple]]:
@@ -521,6 +527,24 @@ class Engine:
             if last[q] == k:
                 del forward[q]
 
+    def _step(self, table: dict, key: int, j: int, q: int, bottom: bool,
+              track: int | None) -> tuple[tuple[int, ...], ...]:
+        """Derive the entry at ``key``, the bits of the cursor's field and
+        the east class, of ``table``, the step table of column ``j`` of
+        ``q`` in the last row or not (``bottom``) for ``track``: per
+        letter id a flat tuple of ``delta, transition index`` per move,
+        ``delta`` the new field and east bits and bit 0 if the move fires
+        ``track``, so a move from ``f`` leads to ``f ^ key | delta``."""
+        shift = self.shift0 + j * self.field_bits
+        kind = (j == q - 1, bottom, key >> shift, (key & self.east_mask) >> 1)
+        out = [()] * len(self.letters)
+        for a, moves in (self.moves.get(kind) or self._moves(kind)).items():
+            if a is not None:
+                out[a] = tuple([x for field, east, ti in moves
+                                for x in (field << shift | east | (ti == track), ti)])
+        out = table[key] = tuple(out)
+        return out
+
     def scenario(self, g: Grid, track: int | None) -> Scenario | None:
         """The canonical scenario on ``g``, or ``None``.
 
@@ -528,49 +552,49 @@ class Engine:
         each frontier's moves in canonical order, so the first accepting
         run it completes is the lexicographically least one.  Moves of
         the last row that emit a non-final state lie on no accepting run
-        and are not tried.  A frontier met again after a cell was
-        searched from there and led nowhere, so each (cell, frontier)
-        pair is expanded at most once; on an accepted grid the search
-        often goes straight down.  The stack is explicit, one entry per
-        cell, so depth is not limited by the interpreter's recursion
-        limit.
+        and are not tried.  A frontier whose search failed is recorded
+        dead at its cell, and one on the current path is not met at its
+        cell again, so each (cell, frontier) pair is expanded at most
+        once; a run that goes straight down records nothing.  The stack
+        is explicit, one entry per cell, so depth is not limited by the
+        interpreter's recursion limit.
         """
         ids, m, q = self.letter_id, g.rows, g.cols
         try:
             letters = [ids[a] for row in g.cells for a in row]
         except KeyError as e:
             raise UnknownLetter(f"letter {e.args[0]!r} is not in the alphabet") from None
-        n, bottom = m * q, m * q - q
-        cols = [self._column(j, q) for j in range(q)]
-        fmask, emask, cache = (1 << self.field_bits) - 1, self.east_mask, self.moves
-        seen: list[set[int]] = [set() for _ in range(n)]
-        stack: list[tuple] = []  # cells passed: moves, rest, shift, next move
+        n, tables = m * q, self.steps
+        row = lambda bottom: [(tables.setdefault((j, j == q - 1, bottom, track), {}),
+                               ~self._column(j, q)[2]) for j in range(q)]
+        cells = row(False) * (m - 1) + row(True)  # each cell's step table and mask
+        dead: dict[int, set[int]] = {}
+        stack: list[tuple] = []  # cells passed: moves, rest, next move
         nf, moves = _START, None
         while True:
             p = len(stack)
             if moves is None:  # expand nf at cell p
-                last, shift, clear = cols[p % q]
-                key = (last, p >= bottom, nf >> shift & fmask, (nf & emask) >> 1)
-                moves = (cache.get(key) or self._moves(key)).get(letters[p], ())
-                rest, i = nf & clear, 0
+                table, mask = cells[p]
+                key = nf & mask
+                moves = (table.get(key) or self._step(table, key, p % q, q, p >= n - q, track))[letters[p]]
+                rest, i = nf ^ key, 0
             if i < len(moves):
-                field, east, ti = moves[i]
-                i += 1
-                nf = rest | field << shift | east | (ti == track)
-                if nf in seen[p]:
+                nf = rest | moves[i]
+                i += 2
+                if dead and nf in dead.get(p, ()):
                     continue
-                seen[p].add(nf)
                 if p + 1 < n:
-                    stack.append((moves, rest, shift, i))
+                    stack.append((moves, rest, i))
                     moves = None
                 elif self._accepts(nf, q, track):
-                    stack.append((moves, rest, shift, i))
+                    stack.append((moves, rest, i))
                     break
             elif stack:
-                moves, rest, shift, i = stack.pop()
+                moves, rest, i = stack.pop()
+                dead.setdefault(len(stack), set()).add(rest | moves[i - 2])
             else:
                 return None
-        run = self.transitions([moves[i - 1][2] for moves, _rest, _shift, i in stack])
+        run = self.transitions([moves[i - 1] for moves, _rest, i in stack])
         cell_runs = tuple(tuple(run[r * q:(r + 1) * q]) for r in range(m))
         return Scenario(grid=g, cell_runs=cell_runs)
 
@@ -591,7 +615,7 @@ def recognize(f: FIS, w: Grid) -> Scenario | None:
 def recognize_with_transition(f: FIS, w: Grid, t: Transition) -> Scenario | None:
     """Like :func:`recognize` but only scenarios in which ``t`` fires."""
     eng = f._engine
-    return eng.scenario(w, eng.track(t))
+    return eng.scenario(w, eng.track(t, f.transitions))
 
 
 def first_accepted(f: FIS, max_rows: int, max_cols: int,
@@ -605,7 +629,7 @@ def first_accepted(f: FIS, max_rows: int, max_cols: int,
     depth-first search of :func:`recognize`.
     """
     eng = f._engine
-    track = eng.track(using)
+    track = eng.track(using, f.transitions)
     for g in eng.accepted(max_rows, max_cols, track):
         return g, eng.scenario(g, track)
     return None

@@ -125,6 +125,10 @@ def test_accessibility_requires_declared_transition(f1):
     with pytest.raises(UnknownTransition):
         bounded_accessibility(f1, Transition("9", "A", "a", "B", "2"),
                               SearchBounds(1, 1))
+    # declared, but "z" is not a letter: it never fires
+    t = Transition("1", "A", "z", "B", "2")
+    f = replace(f1, transitions=f1.transitions + (t,))
+    assert bounded_accessibility(f, t, SearchBounds(3, 3)) is None
 
 
 def test_accessibility_mirrors_emptiness_one_row_and_column_up():

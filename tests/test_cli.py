@@ -159,6 +159,22 @@ def test_check_access(files, capsys):
     assert (code, text) == (1, "INACCESSIBLE-WITHIN-BOUNDS\n")
 
 
+def test_check_access_to_a_transition_that_never_fires(files, capsys):
+    # "s c b c s" is declared but reads a letter outside the alphabet
+    dead = files("dead.fis", "alphabet: a\nstates: s\nclasses: c\n"
+                 "initial_states: s\ninitial_classes: c\nfinal_states: s\n"
+                 "final_classes: c\ntrans: s c a c s\ntrans: s c b c s\n")
+    code, text = run(capsys, "check-access", "--fis", dead, "--trans", "s c b c s",
+                     "--max-rows", "2", "--max-cols", "2")
+    assert (code, text) == (1, "INACCESSIBLE-WITHIN-BOUNDS\n")
+    code, text = run(capsys, "check-access", "--fis", dead, "--trans", "s c a c s",
+                     "--max-rows", "2", "--max-cols", "2")
+    assert (code, text) == (0, "a\n")
+    assert cli.main(["check-access", "--fis", dead, "--trans", "s c x c s",
+                     "--max-rows", "2", "--max-cols", "2"]) == 2
+    assert "is not declared" in capsys.readouterr().err
+
+
 def test_convert_round_trip(files, capsys, tmp_path):
     f1_path = files("f1.fis", format_fis(make_f1()))
     tiles_out = tmp_path / "f1.tiles"

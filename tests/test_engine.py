@@ -6,8 +6,10 @@ engine each system keeps across searches."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -29,6 +31,8 @@ from fiskit.fis import (
     recognize_with_transition,
 )
 from fiskit.grids import grid, sizes
+from fiskit.pcp import PcpInstance, compile_pcp, witness_from_solution
+from fiskit.tiles import fis_to_tiles, ts_language, ts_recognize
 
 # every state and class initial and final, all 72 transitions: every
 # grid is accepted, and all prefixes of one length reach the same set
@@ -118,8 +122,8 @@ def test_profile_wider_than_a_machine_word():
     assert sc is not None and check_scenario(f, sc) == []
 
 
-class CountingMoves(dict):
-    """A move table that counts its lookups: a search looks up the
+class CountingTable(dict):
+    """A step table that counts its lookups: a search looks up the
     moves of each frontier it expands once."""
 
     lookups = 0
@@ -129,41 +133,121 @@ class CountingMoves(dict):
         return super().get(key, default)
 
 
-def counted_moves(monkeypatch, f: FIS) -> CountingMoves:
-    """``f``'s engine with a counting move table swapped in."""
-    table = CountingMoves(f._engine.moves)
-    monkeypatch.setattr(f._engine, "moves", table)
-    return table
+class CountingSteps(dict):
+    """An engine's step tables, each one a counting table."""
+
+    def setdefault(self, key, default=None):
+        return super().setdefault(key, CountingTable())
+
+    @property
+    def lookups(self) -> int:
+        return sum(table.lookups for table in self.values())
+
+
+def counted_steps(monkeypatch, eng: Engine) -> CountingSteps:
+    """``eng`` with counting step tables swapped in, all still empty."""
+    steps = CountingSteps()
+    monkeypatch.setattr(eng, "steps", steps)
+    return steps
+
+
+def lookups(steps: CountingSteps, search) -> tuple[object, int]:
+    """What ``search()`` returns, and the step-table lookups it made."""
+    before = steps.lookups
+    return search(), steps.lookups - before
 
 
 def test_recognize_stops_at_the_first_accepting_run(monkeypatch):
     # every grid is accepted, so the search follows one run down and
     # never expands every frontier of every cell
-    table = counted_moves(monkeypatch, UNIVERSAL)
+    steps = counted_steps(monkeypatch, UNIVERSAL._engine)
     g = grid(["abbabaab", "babbaaba"])
-    sc = recognize(UNIVERSAL, g)
-    assert sc is not None and check_scenario(UNIVERSAL, sc) == []
-    assert 0 < table.lookups <= g.rows * g.cols * len(UNIVERSAL.transitions)
+    for _warm in range(2):
+        sc, count = lookups(steps, lambda: recognize(UNIVERSAL, g))
+        assert sc is not None and check_scenario(UNIVERSAL, sc) == []
+        assert 0 < count <= g.rows * g.cols * len(UNIVERSAL.transitions)
 
 
 def test_dense_recognition_does_not_backtrack_through_the_last_row(monkeypatch):
     # the first-declared state is not final, so a search that tests the
     # bottom border only after the last cell tries almost every last-row
     # run before an accepting one (3,275 frontiers on this 2x8 grid);
-    # with the last-row rule it expands one frontier per cell
+    # with the last-row rule it expands one frontier per cell, on a
+    # fresh engine and on a warm one
     rng = random.Random(501)
     f = dense_fis(rng, 0.9)
-    table = counted_moves(monkeypatch, f)
-    for rows in (2, 1):  # on one row, the first row is the last
+    steps = counted_steps(monkeypatch, f._engine)
+    for rows in (2, 1, 2):  # on one row, the first row is the last
         g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(rows)])
-        table.lookups = 0
-        sc = recognize(f, g)
+        sc, count = lookups(steps, lambda: recognize(f, g))
         assert sc is not None and check_scenario(f, sc) == []
-        assert 0 < table.lookups <= g.rows * g.cols
+        assert 0 < count <= g.rows * g.cols
         probe = sc.cell_runs[-1][4]
-        table.lookups = 0
-        assert recognize_with_transition(f, g, probe) == sc
-        assert 0 < table.lookups <= g.rows * g.cols
+        got, count = lookups(steps, lambda: recognize_with_transition(f, g, probe))
+        assert got == sc
+        assert 0 < count <= g.rows * g.cols
+
+
+def forward_sets(eng: Engine, g, track) -> list[set[int]]:
+    """The frontiers before each cell of ``g`` over its letters,
+    without the last-row rule: a superset of those the search expands."""
+    q, out = g.cols, [{0}]
+    letters = [eng.letter_id[a] for row in g.cells for a in row]
+    for p, letter in enumerate(letters[:-1]):
+        out.append(set(eng._succ(out[-1], p % q, q, letter, track)))
+    return out
+
+
+def assert_expands_each_frontier_once(eng: Engine, steps: CountingSteps, g, track):
+    """Each step table serves one column of the last row or of the rows
+    above it; it is looked up at most as often as those cells' forward
+    sets hold frontiers, per cell on a grid of two rows or fewer."""
+    sets, m, q = forward_sets(eng, g, track), g.rows, g.cols
+    for (j, _last, bottom, tracked), table in steps.items():
+        if tracked == track:
+            rows = [m - 1] if bottom else range(m - 1)
+            assert table.lookups <= sum(len(sets[r * q + j]) for r in rows), (j, bottom)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_backtracking_search_expands_each_frontier_once_per_cell(monkeypatch, seed):
+    # the first transition that cannot fire on the grid: the tracked
+    # search fails only after trying every run of the first row (about
+    # 38,000 lookups), and it expands no frontier twice at one cell
+    rng = random.Random(seed)
+    f = dense_fis(rng, 0.9)
+    eng = f._engine
+    g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(2)])
+    for t in f.transitions:
+        steps = counted_steps(monkeypatch, eng)
+        if recognize_with_transition(f, g, t) is None:
+            assert steps.lookups > 100 * g.rows * g.cols
+            assert_expands_each_frontier_once(eng, steps, g, eng.track(t, f.transitions))
+            break
+    else:
+        pytest.fail("every transition fires on the grid")
+
+
+def test_pcp_near_misses_expand_each_frontier_once_per_cell(monkeypatch):
+    # every one-letter flip of a witness, on the compiled system and on
+    # its tile system
+    p = PcpInstance(x=("ab", "b"), y=("a", "bb"))
+    w = witness_from_solution(p, (1, 2))
+    f = compile_pcp(p)
+    ts = fis_to_tiles(f)
+    rejected = 0
+    for i, j in itertools.product(range(w.rows), range(w.cols)):
+        for a in f.alphabet:
+            cells = [list(row) for row in w.cells]
+            cells[i][j] = a
+            g = grid(cells)
+            for search, eng in ((lambda: recognize(f, g), f._engine),
+                                (lambda: ts_recognize(ts, g), ts._engine)):
+                steps = counted_steps(monkeypatch, eng)
+                if search() in (None, False):
+                    rejected += 1
+                    assert_expands_each_frontier_once(eng, steps, g, None)
+    assert rejected >= 40
 
 
 def test_recognize_depth_is_not_limited_by_recursion():
@@ -281,9 +365,10 @@ def test_a_warm_engine_answers_as_a_fresh_one():
         first = first_accepted(f, 2, 3)
         partial = iter_accepted(f, 2, 3)
         head = next(partial, None)
-        # searches stopped early leave nothing but moves on the engine
-        tables = {k: v for k, v in vars(eng).items() if k != "moves"}
-        assert tables == {k: v for k, v in vars(Engine.of(f)).items() if k != "moves"}
+        # searches stopped early leave nothing but moves and step tables
+        # on the engine
+        kept = lambda e: {k: v for k, v in vars(e).items() if k not in ("moves", "steps")}
+        assert kept(eng) == kept(Engine.of(f))
         assert first == first_accepted(fresh(), 2, 3)
         lang = enumerate_language(f, 2, 3)
         assert lang == enumerate_language(fresh(), 2, 3)
@@ -296,6 +381,33 @@ def test_a_warm_engine_answers_as_a_fresh_one():
                 assert recognize_with_transition(f, g, t) == \
                     recognize_with_transition(fresh(), g, t)
         assert f._engine is eng
+
+
+def tiles_f1():
+    return fis_to_tiles(make_f1())
+
+
+@pytest.mark.parametrize("make, search", [
+    (make_f1, lambda f: recognize(f, diagonal(3))),
+    (make_f1, lambda f: recognize_with_transition(f, diagonal(3), ("2", "A", "c", "A", "2"))),
+    (make_f1, lambda f: first_accepted(f, 3, 3)),
+    (tiles_f1, lambda ts: ts_recognize(ts, diagonal(3))),
+    (tiles_f1, lambda ts: ts_language(ts, 2, 2)),
+], ids=["recognize", "recognize_with_transition", "first_accepted", "ts_recognize",
+        "ts_language"])
+def test_a_dropped_system_frees_its_engine_without_the_collector(make, search):
+    # no table refers back to its engine, so reference counting alone
+    # frees the engine with its system: a large system must not wait
+    # for a full collection
+    system = make()
+    gc.disable()
+    try:
+        assert search(system)
+        engine = weakref.ref(system._engine)
+        del system
+        assert engine() is None
+    finally:
+        gc.enable()
 
 
 def test_search_grids_still_check_letters_of_unvalidated_systems():

@@ -18,6 +18,7 @@ from fiskit.fis import (
     Transition,
     check_scenario,
     enumerate_language,
+    first_accepted,
     format_fis,
     iter_accepted,
     parse_fis,
@@ -122,6 +123,18 @@ def test_recognize_with_transition(f1, diag3, diag1):
     assert recognize_with_transition(f1, diag1, t) is None
     with pytest.raises(UnknownTransition):
         recognize_with_transition(f1, diag1, Transition("9", "A", "a", "B", "2"))
+
+
+def test_a_declared_transition_that_never_fires_is_tracked(f1, diag1, diag3):
+    # a letter outside the alphabet, an undeclared state: declared, never live
+    for t in (Transition("1", "A", "z", "B", "2"), Transition("1", "A", "a", "B", "9")):
+        f = replace(f1, transitions=f1.transitions + (t,))
+        assert recognize(f, diag3) is not None
+        assert recognize_with_transition(f, diag3, t) is None
+        assert recognize_with_transition(f, diag1, t) is None
+        assert first_accepted(f, 3, 3, using=t) is None
+        with pytest.raises(UnknownTransition):
+            recognize_with_transition(f, diag1, Transition("9", "A", "a", "B", "2"))
 
 
 def tamper(sc, i, j, t):
