@@ -256,9 +256,12 @@ def parse_fis(text: str) -> FIS:
 
 def format_fis(f: FIS) -> str:
     """Render a system in the text format accepted by :func:`parse_fis`;
-    a name or letter that is not a token is a ``FormatError``."""
+    a name or letter that is not a token is a ``FormatError``.  Only a
+    transition naming an undeclared name adds tokens to check."""
     fields = [getattr(f, key) for key in _FIS_KEYS]
-    grids.check_tokens(chain(*fields, chain.from_iterable(f.transitions)))
+    declared = set(chain(*fields))
+    grids.check_tokens(declared if declared.issuperset(chain.from_iterable(f.transitions))
+                       else chain(declared, *f.transitions))
     lines = [(key + ": " + " ".join(names)).rstrip() for key, names in zip(_FIS_KEYS, fields)]
     lines += ["trans: " + " ".join(t) for t in f.transitions]
     return "\n".join(lines) + "\n"
@@ -481,7 +484,8 @@ class Engine:
         set after a prefix depends only on the set before its last
         letter, so each ``(position, set, letter)`` step is computed
         once per call and then looked up: an on-the-fly subset
-        construction, paid per distinct set and not per prefix.
+        construction, paid per distinct set and not per prefix.  Equal
+        sets are one object, so memo keys match by identity.
         """
         n = m * q
         layers = self.run_exist(m, q, track, layers)
@@ -490,6 +494,7 @@ class Engine:
         useful = self._useful(layers, m, q, track)
         names, make, letters = self.letters, self.grid, range(len(self.letters))
         steps: dict[tuple[int, frozenset[int], int], frozenset[int]] = {}
+        canon: dict[frozenset[int], frozenset[int]] = {}
         # depth first over the cells, one letter iterator per cell on an
         # explicit stack, so depth is not limited by the recursion limit
         chosen: list[int] = []
@@ -501,8 +506,9 @@ class Engine:
                 nxt = steps.get(key)
                 if nxt is None:
                     up = useful[p + 1]
-                    nxt = steps[key] = frozenset([
+                    nxt = frozenset([
                         nf for nf in self._succ(sets[p], p % q, q, li, track) if nf in up])
+                    nxt = steps[key] = canon.setdefault(nxt, nxt)
                 if not nxt:
                     continue
                 chosen[p:] = [li]
@@ -518,7 +524,10 @@ class Engine:
     def accepted(self, max_rows: int, max_cols: int,
                  track: int | None = None) -> Iterator[Grid]:
         """Accepted grids within the bounds, in canonical order; a
-        width's forward layers are dropped after its last size."""
+        width's forward layers are dropped after its last size; none
+        fires a transition that can never fire."""
+        if track == -1:
+            return
         forward: dict[int, list[set[int]]] = {}
         order = grids.sizes(max_rows, max_cols)
         last = {q: k for k, (_m, q) in enumerate(order)}
@@ -557,13 +566,16 @@ class Engine:
         cell again, so each (cell, frontier) pair is expanded at most
         once; a run that goes straight down records nothing.  The stack
         is explicit, one entry per cell, so depth is not limited by the
-        interpreter's recursion limit.
+        interpreter's recursion limit.  None fires a transition that
+        can never fire, so nothing is searched for one.
         """
         ids, m, q = self.letter_id, g.rows, g.cols
         try:
             letters = [ids[a] for row in g.cells for a in row]
         except KeyError as e:
             raise UnknownLetter(f"letter {e.args[0]!r} is not in the alphabet") from None
+        if track == -1:
+            return None
         n, tables = m * q, self.steps
         row = lambda bottom: [(tables.setdefault((j, j == q - 1, bottom, track), {}),
                                ~self._column(j, q)[2]) for j in range(q)]

@@ -158,66 +158,62 @@ def compile_pcp(p: PcpInstance) -> FIS:
     second row records the same for y words; the remaining rows consume
     the two index streams pair by pair, and any mismatch between them
     leaves a cell with no applicable transition.
+
+    Each state and class name is spelled once, by :func:`a_state`,
+    :func:`c_state` and :func:`m_class` where they apply, and every
+    transition shares the string object ``states`` or ``classes`` holds.
     """
-    n = p.pairs
-    xs, ys = p.x, p.y
+    return FIS(**_reduction(p))
 
-    states = ["s"]
-    states += [a_state(i, j) for i in range(1, n + 1) for j in range(1, len(xs[i - 1]) + 1)]
-    states += [c_state(i, j) for i in range(n + 1) for j in range(n + 1)]
 
-    def b_cls(i: int, j: int) -> str:
-        # word-boundary positions collapse to the shared class A
-        return "A" if j in (0, len(xs[i - 1])) else f"B({i},{j})"
+def _reduction(p: PcpInstance) -> dict:
+    """The fields of :func:`compile_pcp`, its names spelled once each."""
+    n, xs, ys = p.pairs, p.x, p.y
+    words = list(zip(range(1, n + 1), xs, ys))
 
-    def c_cls(i: int, k: int) -> str:
-        return "A" if k in (0, len(ys[i - 1])) else f"C({i},{k})"
+    # name tables by position (a[i][j] is a(i,j+1)); a word-boundary
+    # position of the first two rows collapses to the shared class A
+    A = "A"
+    a = {i: [a_state(i, j) for j in range(1, len(x) + 1)] for i, x, _ in words}
+    c = [[c_state(i, j) for j in range(n + 1)] for i in range(n + 1)]
+    bx = {i: [A, *(f"B({i},{j})" for j in range(1, len(x))), A] for i, x, _ in words}
+    cy = {i: [A, *(f"C({i},{k})" for k in range(1, len(y))), A] for i, _, y in words}
+    m = {i: [[m_class(i, j, k) for k in range(len(y) + 1)] for j in range(len(x) + 1)]
+         for i, x, y in words}
+    s, c00 = "s", c[0][0]
 
-    classes = ["A"]
-    classes += [b_cls(i, j) for i in range(1, n + 1)
-                for j in range(1, len(xs[i - 1]))]
-    classes += [c_cls(i, k) for i in range(1, n + 1)
-                for k in range(1, len(ys[i - 1]))]
-    classes += [m_class(i, j, k) for i in range(1, n + 1)
-                for j in range(len(xs[i - 1]) + 1)
-                for k in range(len(ys[i - 1]) + 1)]
+    states = [s, *(name for i, _, _ in words for name in a[i]), *itertools.chain(*c)]
+    classes = [A, *(name for i, _, _ in words for name in bx[i][1:-1]),
+               *(name for i, _, _ in words for name in cy[i][1:-1]),
+               *(name for i, _, _ in words for row in m[i] for name in row)]
 
-    trans: list[Transition] = []
-
-    # first row: spell letter j of x word i
-    for i in range(1, n + 1):
-        for j in range(1, len(xs[i - 1]) + 1):
-            trans.append(Transition(
-                "s", b_cls(i, j - 1), xs[i - 1][j - 1], b_cls(i, j), a_state(i, j)))
+    # first row: spell x word i letter by letter
+    trans = [Transition(s, bx[i][j], letter, bx[i][j + 1], a[i][j])
+             for i, x, _ in words for j, letter in enumerate(x)]
 
     # second row: spell letter k of y word i under letter g of x word j,
-    # allowed only when the two letters agree
-    for i in range(1, n + 1):
-        for k in range(1, len(ys[i - 1]) + 1):
-            for j in range(1, n + 1):
-                for g in range(1, len(xs[j - 1]) + 1):
-                    if xs[j - 1][g - 1] == ys[i - 1][k - 1]:
-                        trans.append(Transition(
-                            a_state(j, g), c_cls(i, k - 1), ys[i - 1][k - 1],
-                            c_cls(i, k), c_state(j, i)))
+    # allowed only when the two letters agree; under[letter] lists the
+    # (j, a(j,g)) spelling it
+    under: dict[str, list[tuple[int, str]]] = {}
+    for j, x, _ in words:
+        for g, letter in enumerate(x):
+            under.setdefault(letter, []).append((j, a[j][g]))
+    trans += [Transition(north, cy[i][k - 1], letter, cy[i][k], c[j][i])
+              for i, _, y in words for k, letter in enumerate(y, 1)
+              for j, north in under.get(letter, ())]
 
-    # marker cell where both index streams are already exhausted
-    trans.append(pad_transition())
+    # marker cell where both index streams are already exhausted, as
+    # pad_transition() spells it
+    trans.append(Transition(c00, A, MARKER, A, c00))
 
     # open the reduction of pair i: both streams reach word i together,
     # or only one stream has it while the other is exhausted
-    for i in range(1, n + 1):
-        trans.append(Transition(
-            c_state(i, i), "A", MARKER,
-            m_class(i, len(xs[i - 1]) - 1, len(ys[i - 1]) - 1), c_state(0, 0)))
-    for i in range(1, n + 1):
-        trans.append(Transition(
-            c_state(i, 0), "A", MARKER,
-            m_class(i, len(xs[i - 1]) - 1, len(ys[i - 1])), c_state(0, 0)))
-    for i in range(1, n + 1):
-        trans.append(Transition(
-            c_state(0, i), "A", MARKER,
-            m_class(i, len(xs[i - 1]), len(ys[i - 1]) - 1), c_state(0, 0)))
+    trans += [Transition(c[i][i], A, MARKER, m[i][len(x) - 1][len(y) - 1], c00)
+              for i, x, y in words]
+    trans += [Transition(c[i][0], A, MARKER, m[i][len(x) - 1][len(y)], c00)
+              for i, x, y in words]
+    trans += [Transition(c[0][i], A, MARKER, m[i][len(x)][len(y) - 1], c00)
+              for i, x, y in words]
 
     # carry a partially consumed pair eastwards; each side either copies
     # an entry once unloaded, eats one more occurrence of word i, or skips
@@ -225,34 +221,20 @@ def compile_pcp(p: PcpInstance) -> FIS:
     # stuck.  A move is (stream entry j, letters left k, entry passed
     # south, letters left east).
     def carry_side(i: int, word: str) -> list[tuple[int, int, int, int]]:
-        moves = []
-        for j in range(n + 1):
-            for k in range(len(word) + 1):
-                if k == 0:
-                    moves.append((j, k, j, 0))
-                elif j == i:
-                    moves.append((j, k, 0, k - 1))
-                elif j == 0:
-                    moves.append((j, k, 0, k))
-        return moves
+        return [(j, 0, j, 0) if k == 0 else (j, k, 0, k - (j == i))
+                for j in range(n + 1) for k in range(len(word) + 1) if k == 0 or j in (0, i)]
 
-    for i in range(1, n + 1):
-        for (j1, k1, m1, r1), (j2, k2, m2, r2) in itertools.product(
-                carry_side(i, xs[i - 1]), carry_side(i, ys[i - 1])):
-            trans.append(Transition(
-                c_state(j1, j2), m_class(i, k1, k2), MARKER, m_class(i, r1, r2),
-                c_state(m1, m2)))
+    for i, x, y in words:
+        mi = m[i]
+        trans += [Transition(c[j1][j2], mi[k1][k2], MARKER, mi[r1][r2], c[m1][m2])
+                  for (j1, k1, m1, r1), (j2, k2, m2, r2) in itertools.product(
+                      carry_side(i, x), carry_side(i, y))]
 
-    return FIS(
-        alphabet=p.alphabet + (MARKER,),
-        states=tuple(states),
-        classes=tuple(classes),
-        transitions=tuple(dict.fromkeys(trans)),
-        initial_states=("s",),
-        initial_classes=("A",),
-        final_states=(c_state(0, 0),),
-        final_classes=("A",) + tuple(m_class(i, 0, 0) for i in range(1, n + 1)),
-    )
+    # every transition above differs from the others in its north state
+    # or west class, or in its south state, so none repeats
+    return dict(alphabet=p.alphabet + (MARKER,), states=states, classes=classes,
+                transitions=trans, initial_states=(s,), initial_classes=(A,),
+                final_states=(c00,), final_classes=(A, *(m[i][0][0] for i, _, _ in words)))
 
 
 def pad_transition() -> Transition:
@@ -277,27 +259,22 @@ def compile_pcp_probe(p: PcpInstance) -> FIS:
     The extension accepts exactly the grids of the base system padded
     by one marker column and one marker row; the bottom-right cell of
     such a grid is parsed by the probe transition, and no other
-    accepting scenario can fire it.
+    accepting scenario can fire it.  Its names are shared as in
+    :func:`compile_pcp`.
     """
-    base = compile_pcp(p)
-    n = p.pairs
-    extra = [
-        Transition("s", "A", MARKER, "T", "s"),
-        *[Transition("s", m_class(i, 0, 0), MARKER, "T", "s") for i in range(1, n + 1)],
-        Transition(c_state(0, 0), "A", MARKER, "Q", "q"),
-        Transition(c_state(0, 0), "Q", MARKER, "Q", "q"),
-        probe_transition(),
+    f = _reduction(p)
+    (s,), (A,), (c00,) = f["initial_states"], f["initial_classes"], f["final_states"]
+    _, Q, _, T, q = probe_transition()
+    f["transitions"] += [
+        Transition(s, A, MARKER, T, s),
+        *[Transition(s, m00, MARKER, T, s) for m00 in f["final_classes"][1:]],
+        Transition(c00, A, MARKER, Q, q),
+        Transition(c00, Q, MARKER, Q, q),
+        Transition(s, Q, MARKER, T, q),
     ]
-    return FIS(
-        alphabet=base.alphabet,
-        states=base.states + ("q",),
-        classes=base.classes + ("Q", "T"),
-        transitions=base.transitions + tuple(extra),
-        initial_states=base.initial_states,
-        initial_classes=base.initial_classes,
-        final_states=("q",),
-        final_classes=("T",),
-    )
+    f["states"].append(q)
+    f["classes"] += [Q, T]
+    return FIS(**{**f, "final_states": (q,), "final_classes": (T,)})
 
 
 def witness_from_solution(p: PcpInstance, indices) -> Grid:

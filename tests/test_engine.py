@@ -6,6 +6,7 @@ engine each system keeps across searches."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -16,7 +17,7 @@ import pytest
 import oracles
 from conftest import diagonal, make_f1, make_trivial
 from generators import dense_fis, random_fis
-from fiskit.errors import InvalidLetter
+from fiskit.errors import InvalidLetter, UnknownLetter
 from fiskit.fis import (
     FIS,
     Transition,
@@ -186,6 +187,27 @@ def test_dense_recognition_does_not_backtrack_through_the_last_row(monkeypatch):
         got, count = lookups(steps, lambda: recognize_with_transition(f, g, probe))
         assert got == sc
         assert 0 < count <= g.rows * g.cols
+
+
+def test_a_transition_that_never_fires_is_not_searched(monkeypatch):
+    # declared, but it reads a letter outside the alphabet, so no move
+    # carries it: the tracked searches answer without a step-table
+    # lookup or a move table, where the recognizer used to try every
+    # run of this grid
+    rng = random.Random(0)
+    dense = dense_fis(rng, 0.9)
+    dead = Transition("1", "A", "z", "A", "1")
+    f = dataclasses.replace(dense, transitions=dense.transitions + (dead,))
+    eng = f._engine
+    assert eng.track(dead, f.transitions) == -1
+    g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(2)])
+    steps = counted_steps(monkeypatch, eng)
+    assert recognize_with_transition(f, g, dead) is None
+    assert first_accepted(f, 3, 4, using=dead) is None
+    with pytest.raises(UnknownLetter):
+        recognize_with_transition(f, grid(["az"]), dead)
+    assert (len(steps), steps.lookups, eng.moves) == (0, 0, {})
+    assert recognize(f, g) is not None and steps.lookups > 0
 
 
 def forward_sets(eng: Engine, g, track) -> list[set[int]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 import re
 
 import pytest
@@ -13,7 +15,7 @@ from fiskit.errors import (
     InvalidSolution,
     ReservedSymbolCollision,
 )
-from fiskit.fis import recognize, recognize_with_transition, validate
+from fiskit.fis import format_fis, recognize, recognize_with_transition, validate
 from fiskit.grids import grid, h_compose, v_compose
 from fiskit.pcp import (
     MARKER,
@@ -158,6 +160,46 @@ def test_probe_extension_counts():
         assert all(t.letter == MARKER for t in extra)
         assert probe_transition() in extra
         assert validate(probe) == []
+
+
+def random_instances(rng: random.Random, count: int) -> list[PcpInstance]:
+    """Instances of 1-5 pairs, words of 1-4 letters, over alphabets of
+    1-3 letters declared in a drawn order."""
+    out = []
+    for _ in range(count):
+        alphabet = rng.sample("abc", rng.randint(1, 3))
+        words = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+            for _ in range(2 * rng.randint(1, 5))]
+        out.append(PcpInstance(words[0::2], words[1::2], alphabet))
+    return out
+
+
+def test_compiled_bytes_are_pinned():
+    # declaration order decides canonical scenarios, so both compilers
+    # must keep writing the same systems byte for byte
+    digest = hashlib.sha256()
+    for p in random_instances(random.Random(17), 300):
+        digest.update(format_fis(compile_pcp(p)).encode())
+        digest.update(format_fis(compile_pcp_probe(p)).encode())
+    assert digest.hexdigest() == (
+        "e4a852245f60d8aec76fec0f19c3c622f61135b2e5e95e470094985da1ae07c6")
+
+
+def test_compiled_names_are_shared():
+    # each name is one string object, the one the system declares
+    for p in [*random_instances(random.Random(18), 20), P_UNIT, P_TWO]:
+        for f in (compile_pcp(p), compile_pcp_probe(p)):
+            states = {id(s): s for s in f.states}
+            classes = {id(c): c for c in f.classes}
+            for t in f.transitions:
+                assert id(t.north) in states and id(t.south) in states, t
+                assert id(t.west) in classes and id(t.east) in classes, t
+            for s in (*f.initial_states, *f.final_states):
+                assert id(s) in states, s
+            for c in (*f.initial_classes, *f.final_classes):
+                assert id(c) in classes, c
+            assert len(set(f.transitions)) == len(f.transitions)
 
 
 def test_witness_shapes():
