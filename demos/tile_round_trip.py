@@ -10,7 +10,6 @@ from fiskit import (
     fis_to_tiles,
     format_grid,
     parse_fis,
-    tile_token,
     tiles_to_fis,
     ts_language,
     ts_recognize,
@@ -25,9 +24,10 @@ for name in ts.local.alphabet:
     print(" ", name, "->", ts.h[name])
 print("tiles:", len(ts.local.delta))
 
-# a few of them: the all-border tile, a corner, an interior tile
-for t in (ts.local.delta[0], ts.local.delta[1], ts.local.delta[-1]):
-    print(" ", tile_token(t))
+# a few of them, written as in a .tiles file: the all-border tile, a
+# corner, an interior tile
+for (nw, ne), (sw, se) in (ts.local.delta[0], ts.local.delta[1], ts.local.delta[-1]):
+    print(f"  {nw} {ne} / {sw} {se}")
 
 # the tile system accepts exactly the grids the system does
 want = enumerate_language(f, 3, 3)

@@ -70,8 +70,6 @@ from .tiles import (
     local_member,
     parse_tiles,
     quote,
-    tile,
-    tile_token,
     tiles_to_fis,
     ts_language,
     ts_recognize,

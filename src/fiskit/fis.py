@@ -279,11 +279,10 @@ class Engine:
     Letters have ids by ``letter_id``, states are ``0..states-1`` and
     classes ``0..classes-1``.  ``entries`` lists the transitions leaving
     each (north, west) id pair in canonical order as ``(letter, east,
-    south, index)``; ``names[index]`` records the transition and
-    :meth:`transitions` gives it.  :meth:`of` fills every entry of a FIS
-    at once.  A subclass may derive a missing entry on first request in
-    :meth:`entry`, appending to ``names`` a record its
-    :meth:`transitions` spells out.
+    south, index)``, and ``names[index]`` records the transition, as a
+    ``Transition`` when :meth:`of` fills every entry of a FIS at once.
+    A subclass may derive a missing entry on first request in
+    :meth:`entry` and keep records of its own; :meth:`run` reads none.
 
     A frontier is one int:
 
@@ -308,7 +307,7 @@ class Engine:
     every field holds a final state.
 
     A fixed-letter grid is searched one frontier at a time, depth first
-    (:meth:`scenario`); the bounded searches propagate sets of
+    (:meth:`run`); the bounded searches propagate sets of
     frontiers (:meth:`run_exist`, :meth:`iter_size`).  One engine
     serves every search on its system (``FIS._engine``,
     ``TileSystem._engine``): the move table of each kind of frontier,
@@ -356,10 +355,6 @@ class Engine:
     def entry(self, n: int, w: int) -> Sequence[tuple[int, int, int, int]]:
         """The transitions leaving ``(n, w)``; here a missing entry has none."""
         return self.entries.get((n, w), ())
-
-    def transitions(self, indices: Iterable[int]) -> list[Transition]:
-        """The transitions numbered ``indices``."""
-        return list(map(self.names.__getitem__, indices))
 
     def track(self, t: Transition | None, declared: Sequence[Transition]) -> int | None:
         """The index of a transition of ``declared`` to track, ``None``
@@ -554,8 +549,9 @@ class Engine:
         out = table[key] = tuple(out)
         return out
 
-    def scenario(self, g: Grid, track: int | None) -> Scenario | None:
-        """The canonical scenario on ``g``, or ``None``.
+    def run(self, g: Grid, track: int | None) -> list[int] | None:
+        """The canonical run on ``g``, one transition index per cell in
+        row-major order, or ``None`` when ``g`` is not accepted.
 
         A depth-first search over the cells in row-major order tries
         each frontier's moves in canonical order, so the first accepting
@@ -598,7 +594,9 @@ class Engine:
                 if p + 1 < n:
                     stack.append((moves, rest, i))
                     moves = None
-                elif self._accepts(nf, q, track):
+                # last-row moves emit final states and last-column ones
+                # final classes, so only the tracked bit is left to test
+                elif track is None or nf & 1:
                     stack.append((moves, rest, i))
                     break
             elif stack:
@@ -606,9 +604,14 @@ class Engine:
                 dead.setdefault(len(stack), set()).add(rest | moves[i - 2])
             else:
                 return None
-        run = self.transitions([moves[i - 1] for moves, _rest, i in stack])
-        cell_runs = tuple(tuple(run[r * q:(r + 1) * q]) for r in range(m))
-        return Scenario(grid=g, cell_runs=cell_runs)
+        return [moves[i - 1] for moves, _rest, i in stack]
+
+    def scenario(self, g: Grid, track: int | None) -> Scenario | None:
+        """The canonical scenario on ``g`` (:meth:`run`), or ``None``;
+        ``names`` must hold transitions, as :meth:`of` records them."""
+        run, q = self.run(g, track), g.cols
+        return None if run is None else Scenario(g, tuple(
+            tuple(map(self.names.__getitem__, run[r * q:(r + 1) * q])) for r in range(g.rows)))
 
 
 def recognize(f: FIS, w: Grid) -> Scenario | None:

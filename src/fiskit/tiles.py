@@ -3,8 +3,8 @@
 A local language over an alphabet V' is given by a set of 2x2 tiles;
 a grid belongs to it when every 2x2 window of its bordered version is
 a tile of the set.  A tile is the plain tuple ``((nw, ne), (sw, se))``
-of its letters, the border symbol permitted, and :func:`tile_token`
-names it; :class:`LocalLanguage` is where tiles enter and are checked,
+of its letters, the border symbol permitted, and no other form is
+accepted; :class:`LocalLanguage` is where tiles enter and are checked,
 and it keeps the one tile index and the set of distinct tile rows.
 A tile system adds a projection h from V' onto a target alphabet V and
 recognizes the h-images of a local language.
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
-from typing import Iterable
 
 from .errors import FormatError, InvalidLetter, UnknownLetter
 from .fis import FIS, Engine, Transition, live_transitions
@@ -41,29 +40,15 @@ def quote(name: str) -> str:
     return name.replace("\\", "\\\\").replace(",", "\\,").replace("/", "\\/")
 
 
-def tile(nw: str, ne: str, sw: str, se: str) -> Tile:
-    """The tile ``nw ne / sw se``, its letters checked."""
-    for cell in (nw, ne, sw, se):
-        if cell != BORDER:
-            check_letter(cell)
-    return (nw, ne), (sw, se)
-
-
-def tile_token(t: Tile) -> str:
-    """A whitespace-free name for ``t`` usable as a state or class,
-    distinct for distinct tiles."""
-    (nw, ne), (sw, se) = t
-    return f"[{quote(nw)},{quote(ne)}/{quote(sw)},{quote(se)}]"
-
-
 @dataclass(frozen=True)
 class LocalLanguage:
     """An alphabet and the set of 2x2 windows its grids may show.
 
-    The pass that deduplicates the tiles leaves the one tile index,
-    ``_index``, each distinct tile to its place in ``delta``; the letter
-    check leaves ``_rows``, the set of distinct tile rows.  Membership
-    tests and the tile engine read these, never the tiles whole.
+    Tiles come as ``((nw, ne), (sw, se))`` tuples only.  The pass that
+    deduplicates them leaves the one tile index, ``_index``, each
+    distinct tile to its place in ``delta``, and ``_rows``, the set of
+    distinct tile rows, which the shape and letter checks read.
+    Membership tests and the tile engine read these, never the tiles whole.
     """
 
     alphabet: tuple[str, ...]
@@ -74,15 +59,17 @@ class LocalLanguage:
         for a in self.alphabet:  # a local letter "#" would pass for the frame
             check_letter(a)
         places = count()
-        try:  # tiles already 2x2 tuples are kept, not copied
-            index = dict(zip((
-                t if type(t) is type(t[0]) is type(t[1]) is tuple else ((nw, ne), (sw, se))
-                for t in self.delta for (nw, ne), (sw, se) in [t]), places))
-        except (TypeError, ValueError):
-            raise ValueError("tiles are 2x2") from None
+        try:  # a list is unhashable, and a tile that is no sequence has no rows
+            index = dict(zip(self.delta, places))
+            rows = frozenset(chain.from_iterable(index))  # tiles share rows: fewer to read
+        except TypeError:
+            raise ValueError("tiles are 2x2 tuples") from None
+        # the shape, read off the distinct tiles and rows in C loops
+        if not ({*map(type, index), *map(type, rows)} <= {tuple}
+                and {*map(len, index), *map(len, rows)} <= {2}):
+            raise ValueError("tiles are 2x2 tuples")
         if len(index) < next(places):  # a repeated tile kept its last place
             index = dict(zip(index, count()))
-        rows = frozenset(chain.from_iterable(index))  # tiles share rows: fewer to read
         object.__setattr__(self, "delta", tuple(index))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", rows)
@@ -163,8 +150,8 @@ class _PairTable(Engine):
     tile index tells whether ``(nw, ne / sw, se)`` is a tile and where,
     and the moves follow tile order.  Compiling reads the distinct rows,
     not the tiles, and a search builds only the entries it reaches.
-    ``names`` holds each transition as its ids ``(n, w, e, s)`` until
-    :meth:`transitions` spells it out, the first time a scenario needs it.
+    ``names`` holds each transition as its ids ``(n, w, e, s)``, which
+    searches never name; :meth:`spell` names one for :func:`tiles_to_fis`.
     """
 
     def __init__(self, ts: TileSystem):
@@ -200,17 +187,11 @@ class _PairTable(Engine):
         x, y = divmod(pair % self.kk, self.k)
         return f"{flag if pair >= self.kk else ''}({self.quoted[x]},{self.quoted[y]})"
 
-    def transitions(self, indices: Iterable[int]) -> list[Transition]:
-        out = []
-        for i in indices:
-            t = self.names[i]
-            if type(t) is tuple:  # ids, spelled out once
-                n, w, e, s = t
-                t = self.names[i] = Transition(
-                    self.name(n, "F"), self.name(w, "C"), self.letters[self.h[s % self.k]],
-                    self.name(e, "C"), self.name(s, "F"))
-            out.append(t)
-        return out
+    def spell(self, record: tuple[int, int, int, int]) -> Transition:
+        """The transition of ``record``, ids ``(n, w, e, s)`` from ``names``."""
+        n, w, e, s = record
+        return Transition(self.name(n, "F"), self.name(w, "C"), self.letters[self.h[s % self.k]],
+                          self.name(e, "C"), self.name(s, "F"))
 
     def entry(self, n: int, w: int) -> list[tuple[int, int, int, int]]:
         if (out := self.entries.get((n, w))) is not None:
@@ -235,11 +216,11 @@ class _PairTable(Engine):
 
 def ts_recognize(ts: TileSystem, w: Grid) -> bool:
     """Whether some preimage of ``w`` lies in the local language: the
-    depth-first search of ``recognize`` on the system of
-    :func:`tiles_to_fis`, so preimage letters are chosen cell by cell
-    and whole preimage grids are never enumerated.  A letter outside the
-    target alphabet is an ``UnknownLetter``, raised by the engine."""
-    return ts._engine.scenario(w, None) is not None
+    depth-first run of ``recognize`` on the system of :func:`tiles_to_fis`,
+    left unnamed; preimage letters are chosen cell by cell and whole
+    preimage grids are never enumerated.  A letter outside the target
+    alphabet is an ``UnknownLetter``, raised by the engine."""
+    return ts._engine.run(w, None) is not None
 
 
 def ts_language(ts: TileSystem, max_rows: int, max_cols: int) -> list[Grid]:
@@ -341,7 +322,7 @@ def tiles_to_fis(ts: TileSystem) -> FIS:
             south.append(nw * k + ne)
         if ne == se == 0:
             east.append(kk + nw * k + sw)
-    trans = tuple(table.transitions(range(len(table.names))))
+    trans = tuple(map(table.spell, table.names))
     init_s, fin_s = (tuple(table.name(i, "F") for i in ids)
                      for ids in (table.init_states, table.finals(south)))
     init_c, fin_c = (tuple(table.name(i, "C") for i in ids)

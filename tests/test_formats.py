@@ -51,7 +51,10 @@ def test_fis_writer_round_trips(data):
     fields = {key: data.draw(st.lists(tokens, max_size=3)) for key in (
         "alphabet", "states", "classes", "initial_states", "initial_classes",
         "final_states", "final_classes")}
-    trans = data.draw(st.lists(st.builds(Transition, *[tokens] * 5), max_size=3))
+    # a quarter of the systems declare only tokens while their transitions
+    # may name undeclared non-tokens, which only the transitions show
+    pool = data.draw(st.sampled_from([tokens, TOKENS]))
+    trans = data.draw(st.lists(st.builds(Transition, *[pool] * 5), max_size=3))
     f = FIS(transitions=trans, **fields)
     round_trip(f, format_fis, parse_fis, [*sum(fields.values(), []), *sum(trans, ())])
 

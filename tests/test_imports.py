@@ -139,10 +139,24 @@ PUBLIC = """
     iter_accepted local_member main pad_transition parse_fis parse_grid
     parse_pcp parse_tiles pcp probe_transition probe_witness quote
     recognize recognize_with_transition render_scenario solve_pcp
-    structural_check tile tile_token tiles tiles_to_fis
+    structural_check tiles tiles_to_fis
     ts_language ts_recognize v_compose validate windows witness_from_solution
 """.split()
 
 
 def test_public_api_is_pinned():
     assert sorted(fiskit.__all__) == sorted(PUBLIC)
+
+
+def test_readme_library_quick_start_runs(monkeypatch, capsys):
+    # README's "Library quick start" block, run as written from the
+    # root of a checkout: it must not drift from the API
+    root = TESTS.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["sol"] == (1, 2)
+    assert [scope[k] for k in ("nw", "ne", "sw", "se")] == ["#"] * 4
+    assert "overall: pass" in capsys.readouterr().out

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -39,8 +40,6 @@ from fiskit.tiles import (
     local_member,
     parse_tiles,
     quote,
-    tile,
-    tile_token,
     tiles_to_fis,
     ts_language,
     ts_recognize,
@@ -52,8 +51,12 @@ DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 P_BIG = PcpInstance(x=("a", "ab", "bba"), y=("baa", "aa", "bb"))
 
 
+Row = namedtuple("Row", "west east")
+Window = namedtuple("Window", "top bottom")
+
+
 def corner_tiles(v: str) -> tuple[Tile, ...]:
-    return (tile(B, B, B, v), tile(B, B, v, B), tile(B, v, B, B), tile(v, B, B, B))
+    return (((B, B), (B, v)), ((B, B), (v, B)), ((B, v), (B, B)), ((v, B), (B, B)))
 
 
 @pytest.fixture
@@ -63,48 +66,49 @@ def single_cell() -> TileSystem:
     return TileSystem(local=ll, target=("x",), mapping=(("v", "x"),))
 
 
-def test_tile_shape_and_token():
-    t = tile(B, "a", "b", B)
-    assert t == ((B, "a"), ("b", B))
-    assert tile_token(t) == "[#,a/b,#]"
-    with pytest.raises(InvalidLetter):
-        tile("a", "b c", "d", "e")
-
-
 def test_quote_escapes_the_token_separators():
     assert quote("a") == "a"
     assert quote("a,b/c\\d") == "a\\,b\\/c\\\\d"
-    # the escape itself is escaped, so "a\\" + "," differs from "a" + "\\,"
-    assert tile_token(tile("a\\", "b", "c", "d")) != tile_token(tile("a", "\\b", "c", "d"))
-
-
-def test_tile_tokens_are_injective():
-    assert tile_token(tile("a,b", "c", "d", "e")) != tile_token(tile("a", "b,c", "d", "e"))
-    assert tile_token(tile("a", "b/c", "d", "e")) != tile_token(tile("a", "b", "c/d", "e"))
+    # the escape itself is escaped: unescaped, both pairs would join to a\,b\,c
+    assert ",".join(map(quote, ("a\\", "b,c"))) != ",".join(map(quote, ("a,b\\", "c")))
+    assert ",".join(map(quote, ("a,b", "c"))) != ",".join(map(quote, ("a", "b,c")))
+    assert "/".join(map(quote, ("a/b", "c"))) != "/".join(map(quote, ("a", "b/c")))
 
 
 def test_local_language_dedups_and_checks_letters():
-    t = tile(B, B, B, "v")
-    # nested lists are the same tile as nested tuples
-    ll = LocalLanguage(alphabet=("v",), delta=(t, [[B, B], [B, "v"]], t))
+    t = ((B, B), (B, "v"))
+    ll = LocalLanguage(alphabet=("v",), delta=(t, ((B, B), (B, "v")), t))
     assert ll.delta == (t,)
+    # a tuple subclass equal to a tile given before it is that tile
+    ll = LocalLanguage(alphabet=("v",), delta=(t, Window(*t)))
+    assert ll.delta == (t,) and type(ll.delta[0]) is tuple
+    # a tile is a tuple of tuples, never nested lists
+    with pytest.raises(ValueError, match="tiles are 2x2 tuples"):
+        LocalLanguage(alphabet=("v",), delta=(t, [[B, B], [B, "v"]]))
     with pytest.raises(ValueError):
-        LocalLanguage(alphabet=("v",), delta=(tile(B, B, B, "w"),))
+        LocalLanguage(alphabet=("v",), delta=(((B, B), (B, "w")),))
     with pytest.raises(ValueError):
         LocalLanguage(alphabet=("v",), delta=(t, ((B, "v"), (B, "w"))))
     # a local letter spelled like the border would stand in for the frame
     with pytest.raises(InvalidLetter):
-        LocalLanguage(alphabet=(B,), delta=(tile(B, B, B, B),))
+        LocalLanguage(alphabet=(B,), delta=(((B, B), (B, B)),))
 
 
 @pytest.mark.parametrize("cells", [
     (("v", "v"),),
     (("v",), ("v",)),
     (("v", "v", "v"), ("v", "v", "v")),
-], ids=["1x2", "2x1", "2x3"])
+    ((B, B), B + "v"),
+    Window((B, B), ("v", B)),
+    ((B, B), Row("v", B)),
+    ((B, B), [B, "v"]),
+    "vv",
+    7,
+], ids=["1x2", "2x1", "2x3", "string-row", "namedtuple-tile", "namedtuple-row",
+        "list-row", "string-tile", "int-tile"])
 def test_local_language_rejects_tiles_not_2x2(cells):
-    with pytest.raises(ValueError):
-        LocalLanguage(alphabet=("v",), delta=(tile(B, B, B, "v"), cells))
+    with pytest.raises(ValueError, match="tiles are 2x2 tuples"):
+        LocalLanguage(alphabet=("v",), delta=(((B, B), (B, "v")), cells))
 
 
 def test_conversion_checks_letters_of_unvalidated_systems():
@@ -159,7 +163,7 @@ def test_two_preimages_one_needed():
     # u tiles cannot close the east border, v tiles can; h merges them
     ll = LocalLanguage(
         alphabet=("u", "v"),
-        delta=(tile(B, B, B, "u"),) + corner_tiles("v"),
+        delta=(((B, B), (B, "u")),) + corner_tiles("v"),
     )
     ts = TileSystem(local=ll, target=("x",),
                     mapping=(("u", "x"), ("v", "x")))
@@ -180,7 +184,7 @@ def test_fis_to_tiles_f1_shape(f1):
     ts = fis_to_tiles(f1)
     assert len(ts.local.alphabet) == 3
     assert len(ts.local.delta) == 20
-    assert tile(B, B, B, B) in ts.local.delta
+    assert ((B, B), (B, B)) in ts.local.delta
     assert ts.target == ("a", "b", "c")
     assert dict(ts.mapping) == {
         "(1,A,a,B,2)": "a", "(1,B,b,B,1)": "b", "(2,A,c,A,2)": "c",
@@ -415,24 +419,43 @@ def test_each_tile_system_is_compiled_once(monkeypatch):
                          ids=["default", "punctuated"])
 def test_tile_engine_scenarios_replay_on_tiles_to_fis(sources):
     # the engine derives the transitions of tiles_to_fis on request, so
-    # it finds the same canonical scenario, and the eager system replays it
+    # its canonical run, spelled, is the scenario of the eager system
     rng = random.Random(918)
     accepted = 0
     for i in range(60):
         ts = random_tile_system(rng, sources=sources)
         f = tiles_to_fis(ts)
+        eng = ts._engine
         delta = set(ts.local.delta)
         for m, q in sizes(2, 2):
             for g in oracles.all_grids(ts.target, m, q):
-                sc = ts._engine.scenario(g, None)
+                run = eng.run(g, None)
                 want = oracles.ts_accepts_by_preimages(
                     ts.local.alphabet, dict(ts.mapping), delta, g)
-                assert (sc is not None) == want, (i, g.cells)
-                if sc is not None:
+                assert (run is not None) == want, (i, g.cells)
+                if run is not None:
+                    spelled = [eng.spell(eng.names[t]) for t in run]
+                    sc = recognize(f, g)
                     assert check_scenario(f, sc) == [], (i, g.cells)
-                    assert sc == recognize(f, g), (i, g.cells)
+                    assert spelled == [t for row in sc.cell_runs for t in row], (i, g.cells)
                     accepted += 1
     assert accepted >= 50
+
+
+def test_tile_engine_searches_name_no_transition():
+    # recognition and enumeration keep the derived transitions as ids
+    rng = random.Random(919)
+    names = 0
+    for _ in range(20):
+        ts = random_tile_system(rng)
+        for g in oracles.all_grids(ts.target, 2, 2):
+            ts_recognize(ts, g)
+        ts_language(ts, 2, 3)
+        records = ts._engine.names
+        assert all(type(t) is tuple and len(t) == 4 and all(type(x) is int for x in t)
+                   for t in records)
+        names += len(records)
+    assert names > 0
 
 
 def test_conflicting_map_lines_are_rejected(tmp_path, capsys):
