@@ -13,17 +13,20 @@ transition such that the top border uses initial states, the left
 border initial classes, and the bottom and right borders are final.
 
 The engine moves frontiers cell by cell in row-major order.  A
-frontier is one int: one field per column holds the south state
-already emitted left of the cursor or the pending north state from the
-cursor on, low bits hold the class crossing the current cell border
-and whether a tracked transition fired, so a step rewrites two fields.
+frontier is one int: low bits hold whether a tracked transition fired
+and the class crossing the current cell border, and one field per
+column holds the row profile, rotated so that the cursor's pending
+north state is always the lowest field.  A step drops that field,
+shifts the rest down and writes the new south state into the top
+field, so after a row's last cell the fields are in column order
+again, and the moves of a frontier are found by its low bits alone.
 Border nondeterminism is resolved lazily: a first-row cell draws its
 north state from the initial states and a first-column cell draws its
 west class from the initial classes when the cell is parsed.
 
 A grid with fixed letters is recognized by a depth-first search that
 tries each frontier's moves in declaration order, each found with one
-int lookup in a step table of its column, and remembers, per cell,
+int lookup in a step table of its kind of cell, and remembers, per cell,
 the frontiers whose search failed.  As a last-column move must emit a
 final class, a last-row move must emit a final state, so the search
 never backtracks over a bottom border that cannot accept.  The first
@@ -290,30 +293,38 @@ class Engine:
       never set when no transition is tracked;
     * the next bits -- the class entering the next cell, + 1, or 0 at
       column 0 where any initial class may enter;
-    * above them one ``field_bits``-wide field per column, the row
-      profile: left of the cursor the south state the current row
-      emitted there, from the cursor on the pending north state (the
-      previous row's south), each + 1; a first-row north not drawn yet
-      is 0, and the cell draws it from the initial states.
+    * above them, from ``shift0``, one ``field_bits``-wide field per
+      column, the row profile, each state + 1: first the pending north
+      states (the previous row's souths) from the cursor's column to the
+      last, then the south states the current row emitted left of the
+      cursor.  A first-row north not drawn yet is 0, and the cell draws
+      it from the initial states.
 
-    A step rewrites the cursor's field and the east class.  At the last
-    column of a row, successors whose east class is not final are
-    dropped (the full east border must be final) and the east class is
-    cleared, so the row's souths become the next row's norths in place.
-    In the last row of a fixed-letter grid, successors whose south state
-    is not final are dropped the same way (the full south border must
-    be final); the frontier-set passes leave this out, as their layers
-    serve every height.  After the last cell a frontier accepts when
-    every field holds a final state.
+    The cursor's field is therefore always the lowest, and a move is
+    found by ``f & key_mask``, the same key at every column and width.
+    A step drops that field and the east class: the move leads to ``(f
+    >> field_bits) ^ d`` (:meth:`_derive`) with its south state in the
+    top field, so after a row's q steps the fields are back in column
+    order.  At the last column of a row, successors whose east class is
+    not final are dropped (the full east border must be final) and the
+    east class is cleared, so the row's souths are the next row's
+    norths.  In the last row of a fixed-letter grid, successors whose
+    south state is not final are dropped the same way (the full south
+    border must be final); the frontier-set passes leave this out, as
+    their layers serve every height.  After the last cell a frontier
+    accepts when every field holds a final state.
 
     A fixed-letter grid is searched one frontier at a time, depth first
     (:meth:`run`); the bounded searches propagate sets of
     frontiers (:meth:`run_exist`, :meth:`iter_size`).  One engine
     serves every search on its system (``FIS._engine``,
-    ``TileSystem._engine``): the move table of each kind of frontier,
-    the step tables derived from it (:meth:`_step`) and the entries
-    derived on request grow across searches; nothing else changes
-    after compilation, and no table refers back to the engine.
+    ``TileSystem._engine``): ``tables`` holds one step table per kind
+    of frontier, ``(last column, last row, tracked transition, top)``,
+    where ``top`` is ``None`` for the set passes, whose tables serve
+    every width, and the top field's shift for :meth:`run`, whose tables
+    fold it in.  Tables and the entries derived on request grow across
+    searches; nothing else changes after compilation, and no table
+    refers back to the engine.
     Forward layers belong to the search that builds them, so a search
     stopped early leaves none behind.  The class is plain, not a
     ``dict``: the searches read its attributes on every step.
@@ -334,8 +345,8 @@ class Engine:
         east_bits = max(1, classes.bit_length())
         self.east_mask = ((1 << east_bits) - 1) << 1
         self.shift0 = 1 + east_bits
-        self.moves: dict[tuple[bool, bool, int, int], dict] = {}
-        self.steps: dict[tuple[int, bool, bool, int | None], dict[int, tuple]] = {}
+        self.key_mask = (1 << self.shift0 + self.field_bits) - 1
+        self.tables: dict[tuple, dict[int, tuple[tuple, ...]]] = {}
 
     @classmethod
     def of(cls, f: FIS) -> Engine:
@@ -371,58 +382,57 @@ class Engine:
                 return -1
             raise UnknownTransition(f"transition {t} is not declared") from None
 
-    def _moves(self, key: tuple[bool, bool, int, int]) -> dict[int | None, list[tuple]]:
-        """The moves of one kind of frontier by letter, in canonical order.
-
-        ``key`` is ``(last, bottom, field, east)``: whether the cursor is
-        in the last column, whether it is in the last row, its field and
-        the east class as stored.  Each move is ``(field, east,
-        transition index)``: the new field value and the new east bits
-        in place.  A last-column move needs a final east class and a
-        last-row move a final south state.  Letter ``None`` lists the
-        moves of every letter.
+    def _derive(self, kind: tuple, key: int) -> tuple[tuple[int, ...], ...]:
+        """Derive the entry at ``key``, a frontier's low bits ``f &
+        key_mask``, of the table of ``kind``, ``(last, bottom, track,
+        top)``.  A last-column move needs a final east class and a
+        last-row move a final south state.  A move's ``d`` is its new low
+        bits, the tracked bit kept or set, XOR ``key >> field_bits``.
+        With ``top`` ``None`` the entry serves every width: per letter
+        id, then for every letter, the distinct ``(d, south)`` pairs.
+        Otherwise it holds per letter id a flat ``d | south << top,
+        transition index`` per move in canonical order.
         """
-        last, bottom, field, east = key
-        out: dict[int | None, list] = {None: []}
+        last, bottom, track, top = kind
+        field, east = key >> self.shift0, (key & self.east_mask) >> 1
+        fold, fired = key >> self.field_bits, key & 1
+        slots: list[tuple] = [()] * (len(self.letters) + 1)
         for n in self.init_states if field == 0 else (field - 1,):
             for w in self.init_classes if east == 0 else (east - 1,):
                 for letter, e, s, ti in self.entry(n, w):
                     if (last and e not in self.fin_classes
                             or bottom and s + 1 not in self.fin_fields):
                         continue
-                    move = (s + 1, 0 if last else (e + 1) << 1, ti)
-                    out[None].append(move)
-                    out.setdefault(letter, []).append(move)
-        self.moves[key] = out
+                    d = fold ^ (0 if last else (e + 1) << 1) ^ (fired | (ti == track))
+                    if top is not None:
+                        slots[letter] += (d | s + 1 << top, ti)
+                        continue
+                    move = (d, s + 1)  # two letters or drawn borders may give it
+                    for a in letter, -1:
+                        if move not in slots[a]:
+                            slots[a] += (move,)
+        out = self.tables[kind][key] = tuple(slots)
         return out
 
-    def _column(self, j: int, q: int) -> tuple[bool, int, int]:
-        """Column ``j`` of ``q`` as a step reads it: whether it is the
-        last, the cursor's shift, and the mask that clears the cursor's
-        field and the east bits.  A move ``(field, east, ...)`` from
-        ``f`` leads to ``f & clear | field << shift | east``, with bit 0
-        set when it fires the tracked transition."""
-        shift = self.shift0 + j * self.field_bits
-        return j == q - 1, shift, ~(((1 << self.field_bits) - 1) << shift | self.east_mask)
-
-    def _succ(self, fset, j: int, q: int, letter: int | None, track: int | None):
-        """Successors of the frontiers in ``fset`` at column ``j`` on
-        ``letter`` (``None``: every letter), without the last-row rule,
-        as forward layers serve every height.  The move lookup is
-        inlined: a call per frontier made sparse systems' set-wide
-        passes up to a fifth slower."""
-        shift = self.shift0 + j * self.field_bits
-        fmask = (1 << self.field_bits) - 1
-        emask = self.east_mask
-        clear = ~(fmask << shift | emask)
-        last = j == q - 1
-        cache = self.moves
+    def _layer(self, fset, p: int, q: int, slot: int, track: int | None) -> set[int]:
+        """Successors of the frontiers in ``fset`` at cell ``p`` of width
+        ``q`` on letter id ``slot`` (-1: every letter), without the
+        last-row rule, as forward layers serve every height.  The table
+        lookup is inlined: a call per frontier made sparse systems'
+        set-wide passes up to a fifth slower."""
+        kind = (p % q == q - 1, False, track, None)
+        get = self.tables.setdefault(kind, {}).get
+        km, fb, top = self.key_mask, self.field_bits, self.shift0 + (q - 1) * self.field_bits
+        out: set[int] = set()
+        add = out.add
         for f in fset:
-            key = (last, False, f >> shift & fmask, (f & emask) >> 1)
-            moves = cache.get(key) or self._moves(key)
-            rest = f & clear
-            for field, east, ti in moves.get(letter, ()):
-                yield rest | field << shift | east | (ti == track)
+            moves = get(f & km)
+            if moves is None:
+                moves = self._derive(kind, f & km)
+            rest = f >> fb
+            for d, s in moves[slot]:
+                add(rest ^ d | s << top)
+        return out
 
     def _accepts(self, f: int, q: int, track: int | None) -> bool:
         """Whether a frontier after a row's last cell is accepting."""
@@ -445,7 +455,7 @@ class Engine:
         ``[{_START}]``; it may hold more than ``m * q + 1`` layers.
         """
         for p in range(len(layers) - 1, m * q):
-            layers.append(set(self._succ(layers[p], p % q, q, None, track)))
+            layers.append(self._layer(layers[p], p, q, -1, track))
         return layers
 
     def _useful(self, layers, m: int, q: int, track: int | None) -> list[set[int]]:
@@ -453,15 +463,15 @@ class Engine:
         n = m * q
         useful: list[set[int]] = [set() for _ in range(n)]
         useful.append({f for f in layers[n] if self._accepts(f, q, track)})
-        fmask, emask, cache = (1 << self.field_bits) - 1, self.east_mask, self.moves
+        km, fb, top = self.key_mask, self.field_bits, self.shift0 + (q - 1) * self.field_bits
         for p in range(n - 1, -1, -1):
             up, keep = useful[p + 1], useful[p]
-            last, shift, clear = self._column(p % q, q)
+            # run_exist derived the entry of every frontier of the layer
+            table = self.tables[p % q == q - 1, False, track, None]
             for f in layers[p]:
-                key = (last, False, f >> shift & fmask, (f & emask) >> 1)
-                rest = f & clear
-                for field, east, ti in (cache.get(key) or self._moves(key))[None]:
-                    if (rest | field << shift | east | (ti == track)) in up:
+                rest = f >> fb
+                for d, s in table[f & km][-1]:
+                    if rest ^ d | s << top in up:
                         keep.add(f)
                         break
         return useful
@@ -500,9 +510,7 @@ class Engine:
                 key = (p, sets[p], li)
                 nxt = steps.get(key)
                 if nxt is None:
-                    up = useful[p + 1]
-                    nxt = frozenset([
-                        nf for nf in self._succ(sets[p], p % q, q, li, track) if nf in up])
+                    nxt = frozenset(self._layer(sets[p], p, q, li, track) & useful[p + 1])
                     nxt = steps[key] = canon.setdefault(nxt, nxt)
                 if not nxt:
                     continue
@@ -531,24 +539,6 @@ class Engine:
             if last[q] == k:
                 del forward[q]
 
-    def _step(self, table: dict, key: int, j: int, q: int, bottom: bool,
-              track: int | None) -> tuple[tuple[int, ...], ...]:
-        """Derive the entry at ``key``, the bits of the cursor's field and
-        the east class, of ``table``, the step table of column ``j`` of
-        ``q`` in the last row or not (``bottom``) for ``track``: per
-        letter id a flat tuple of ``delta, transition index`` per move,
-        ``delta`` the new field and east bits and bit 0 if the move fires
-        ``track``, so a move from ``f`` leads to ``f ^ key | delta``."""
-        shift = self.shift0 + j * self.field_bits
-        kind = (j == q - 1, bottom, key >> shift, (key & self.east_mask) >> 1)
-        out = [()] * len(self.letters)
-        for a, moves in (self.moves.get(kind) or self._moves(kind)).items():
-            if a is not None:
-                out[a] = tuple([x for field, east, ti in moves
-                                for x in (field << shift | east | (ti == track), ti)])
-        out = table[key] = tuple(out)
-        return out
-
     def run(self, g: Grid, track: int | None) -> list[int] | None:
         """The canonical run on ``g``, one transition index per cell in
         row-major order, or ``None`` when ``g`` is not accepted.
@@ -572,22 +562,24 @@ class Engine:
             raise UnknownLetter(f"letter {e.args[0]!r} is not in the alphabet") from None
         if track == -1:
             return None
-        n, tables = m * q, self.steps
-        row = lambda bottom: [(tables.setdefault((j, j == q - 1, bottom, track), {}),
-                               ~self._column(j, q)[2]) for j in range(q)]
-        cells = row(False) * (m - 1) + row(True)  # each cell's step table and mask
+        n, km, fb, tables = m * q, self.key_mask, self.field_bits, self.tables
+        top = self.shift0 + (q - 1) * fb
+        row = lambda bottom: [(kind, tables.setdefault(kind, {})) for kind in (
+            (j == q - 1, bottom, track, top) for j in range(q))]
+        cells = row(False) * (m - 1) + row(True)  # each cell's kind and table
         dead: dict[int, set[int]] = {}
         stack: list[tuple] = []  # cells passed: moves, rest, next move
         nf, moves = _START, None
         while True:
             p = len(stack)
             if moves is None:  # expand nf at cell p
-                table, mask = cells[p]
-                key = nf & mask
-                moves = (table.get(key) or self._step(table, key, p % q, q, p >= n - q, track))[letters[p]]
-                rest, i = nf ^ key, 0
+                kind, table = cells[p]
+                moves = table.get(nf & km)
+                if moves is None:
+                    moves = self._derive(kind, nf & km)
+                moves, rest, i = moves[letters[p]], nf >> fb, 0
             if i < len(moves):
-                nf = rest | moves[i]
+                nf = rest ^ moves[i]
                 i += 2
                 if dead and nf in dead.get(p, ()):
                     continue
@@ -601,7 +593,7 @@ class Engine:
                     break
             elif stack:
                 moves, rest, i = stack.pop()
-                dead.setdefault(len(stack), set()).add(rest | moves[i - 2])
+                dead.setdefault(len(stack), set()).add(rest ^ moves[i - 2])
             else:
                 return None
         return [moves[i - 1] for moves, _rest, i in stack]

@@ -159,7 +159,10 @@ def read_keys(text: str, counts: dict[str, int | None]) -> dict[str, list]:
     :class:`FormatError` naming its number.
     """
     doc: dict[str, list] = {key: [] for key in counts}
-    for n, line in content_lines(text):
+    for n, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue  # a blank line or a comment, as in content_lines
         key, sep, rest = line.partition(":")
         key, tokens = key.strip(), rest.split()
         count = counts.get(key, ...)  # a count is an int or None, never ...

@@ -61,6 +61,39 @@ def accepts(f: FIS, g: Grid) -> bool:
     return bool(all_scenarios(f, g))
 
 
+def reachable_rows(f: FIS, q: int, rows: int, using: Transition | None = None) -> list[set]:
+    """The rows of south states after each of ``rows`` rows of width
+    ``q``, over any letters, by walking every row run: the north border
+    initial, each row's west class initial and east class final, the
+    south border free.  Entry ``r - 1`` holds ``(fired, souths)`` for
+    the runs over ``r`` rows, ``fired`` whether ``using`` fired."""
+    states, classes = set(f.states), set(f.classes)
+    moves = [t for t in f.transitions if t.letter in f.alphabet
+             and t.north in states and t.south in states
+             and t.west in classes and t.east in classes]
+    out: list[set] = []
+    layer = {(False, None)}  # None: the north border, not drawn yet
+    for _ in range(rows):
+        nxt: set = set()
+
+        def walk(j: int, fired: bool, above, west, souths: list) -> None:
+            if j == q:
+                if west in f.final_classes:
+                    nxt.add((fired, tuple(souths)))
+                return
+            norths = f.initial_states if above is None else (above[j],)
+            wests = f.initial_classes if j == 0 else (west,)
+            for t in moves:
+                if t.north in norths and t.west in wests:
+                    walk(j + 1, fired or t == using, above, t.east, souths + [t.south])
+
+        for fired, above in layer:
+            walk(0, fired, above, None, [])
+        out.append(nxt)
+        layer = nxt
+    return out
+
+
 def sizes(max_rows: int, max_cols: int) -> list[tuple[int, int]]:
     """Grid shapes within bounds in canonical order: area, then rows."""
     out = [(m, q)

@@ -123,50 +123,124 @@ def test_profile_wider_than_a_machine_word():
     assert sc is not None and check_scenario(f, sc) == []
 
 
-class CountingTable(dict):
-    """A step table that counts its lookups: a search looks up the
-    moves of each frontier it expands once."""
+def boundary_rows(f: FIS, q: int, rows: int, using=None) -> list[set]:
+    """The forward pass of ``f`` at width ``q`` decoded at each row
+    boundary: ``(fired, souths)`` per frontier, the south states named.
+    A boundary frontier holds one field per column in column order and
+    no east class."""
+    eng = f._engine
+    track = eng.track(using, f.transitions)
+    layers = eng.run_exist(rows, q, track, [{0}])
+    names, fb = list(dict.fromkeys(f.states)), eng.field_bits
+    out = []
+    for r in range(1, rows + 1):
+        decoded = set()
+        for fr in layers[r * q]:
+            assert fr & eng.east_mask == 0 and fr >> eng.shift0 + q * fb == 0
+            fields = fr >> eng.shift0
+            decoded.add((bool(fr & 1), tuple(
+                names[(fields >> j * fb & (1 << fb) - 1) - 1] for j in range(q))))
+        out.append(decoded)
+    return out
 
-    lookups = 0
 
-    def get(self, key, default=None):
+def test_row_boundary_layers_are_the_reachable_rows():
+    # the cursor's field is always the lowest, so a row's q steps bring
+    # the fields back into column order at every row boundary
+    rng = random.Random(3301)
+    tracked = nonempty = 0
+    for _ in range(40):
+        f = random_fis(rng)
+        for using in (None, rng.choice(f.transitions) if f.transitions else None):
+            for q in (1, 2, 3):
+                got = boundary_rows(f, q, 3, using)
+                assert got == oracles.reachable_rows(f, q, 3, using), (f, q, using)
+                tracked += using is not None and any(fired for fired, _ in got[-1])
+                nonempty += bool(got[-1])
+    assert tracked >= 20 and nonempty >= 60
+
+
+def test_row_boundary_layers_of_a_profile_wider_than_a_machine_word():
+    f, q = make_f1(), 70
+    eng = f._engine
+    assert eng.shift0 + q * eng.field_bits > 64
+    for using in (None, Transition("2", "A", "c", "A", "2")):
+        got = boundary_rows(f, q, 3, using)
+        assert got == oracles.reachable_rows(f, q, 3, using)
+        assert [len(rows) for rows in got] == [1, 1, 1]
+
+
+def test_step_tables_are_kept_per_kind_of_frontier():
+    # a tracked search used to leave one table per column and row kind
+    # (1,088 on this grid); now one per last column or not, last row or
+    # not, tracked transition and width
+    rng = random.Random(1)
+    f = dense_fis(rng, 0.9)
+    g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(2)])
+    eng = f._engine
+    assert recognize(f, g) is not None
+    for t in f.transitions:
+        recognize_with_transition(f, g, t)
+    tracks, widths = ({kind[k] for kind in eng.tables} for k in (2, 3))
+    assert len(tracks) == len(f.transitions) + 1 == 68 and len(widths) == 1
+    assert len(eng.tables) <= 4 * len(tracks) * len(widths)
+
+
+class CountingTable:
+    """One cell's view of a step table: it counts the lookups made
+    through it, and a search looks up the moves of each frontier it
+    expands once."""
+
+    def __init__(self, table: dict):
+        self.table, self.lookups = table, 0
+
+    def get(self, key):
         self.lookups += 1
-        return super().get(key, default)
+        return self.table.get(key)
 
 
-class CountingSteps(dict):
-    """An engine's step tables, each one a counting table."""
+class CellTables(dict):
+    """An engine's tables that give each cell of a run its own counting
+    view.  ``run`` asks for the table of each column of the rows above
+    the last, then of each column of the last row; ``views`` keeps the
+    views in that order by ``(bottom, track)``, so on a grid of two rows
+    or fewer each view serves one cell.  Set passes read the tables
+    themselves."""
 
-    def setdefault(self, key, default=None):
-        return super().setdefault(key, CountingTable())
+    def __init__(self, tables: dict):
+        super().__init__(tables)
+        self.views: dict[tuple, list[CountingTable]] = {}
+
+    def setdefault(self, kind, default=None):
+        table = super().setdefault(kind, default)
+        _last, bottom, track, top = kind
+        if top is None:
+            return table
+        view = CountingTable(table)
+        self.views.setdefault((bottom, track), []).append(view)
+        return view
 
     @property
     def lookups(self) -> int:
-        return sum(table.lookups for table in self.values())
+        return sum(v.lookups for views in self.views.values() for v in views)
 
 
-def counted_steps(monkeypatch, eng: Engine) -> CountingSteps:
-    """``eng`` with counting step tables swapped in, all still empty."""
-    steps = CountingSteps()
-    monkeypatch.setattr(eng, "steps", steps)
-    return steps
-
-
-def lookups(steps: CountingSteps, search) -> tuple[object, int]:
-    """What ``search()`` returns, and the step-table lookups it made."""
-    before = steps.lookups
-    return search(), steps.lookups - before
+def lookups(monkeypatch, eng: Engine, search) -> tuple[object, CellTables]:
+    """What ``search()`` returns, and ``eng``'s tables with the lookups
+    it made counted per cell."""
+    tables = CellTables(eng.tables)
+    monkeypatch.setattr(eng, "tables", tables)
+    return search(), tables
 
 
 def test_recognize_stops_at_the_first_accepting_run(monkeypatch):
     # every grid is accepted, so the search follows one run down and
     # never expands every frontier of every cell
-    steps = counted_steps(monkeypatch, UNIVERSAL._engine)
     g = grid(["abbabaab", "babbaaba"])
     for _warm in range(2):
-        sc, count = lookups(steps, lambda: recognize(UNIVERSAL, g))
+        sc, tables = lookups(monkeypatch, UNIVERSAL._engine, lambda: recognize(UNIVERSAL, g))
         assert sc is not None and check_scenario(UNIVERSAL, sc) == []
-        assert 0 < count <= g.rows * g.cols * len(UNIVERSAL.transitions)
+        assert 0 < tables.lookups <= g.rows * g.cols * len(UNIVERSAL.transitions)
 
 
 def test_dense_recognition_does_not_backtrack_through_the_last_row(monkeypatch):
@@ -177,16 +251,25 @@ def test_dense_recognition_does_not_backtrack_through_the_last_row(monkeypatch):
     # fresh engine and on a warm one
     rng = random.Random(501)
     f = dense_fis(rng, 0.9)
-    steps = counted_steps(monkeypatch, f._engine)
     for rows in (2, 1, 2):  # on one row, the first row is the last
         g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(rows)])
-        sc, count = lookups(steps, lambda: recognize(f, g))
+        sc, tables = lookups(monkeypatch, f._engine, lambda: recognize(f, g))
         assert sc is not None and check_scenario(f, sc) == []
-        assert 0 < count <= g.rows * g.cols
+        assert_one_lookup_per_cell(tables, g, None)
         probe = sc.cell_runs[-1][4]
-        got, count = lookups(steps, lambda: recognize_with_transition(f, g, probe))
+        got, tables = lookups(monkeypatch, f._engine,
+                              lambda: recognize_with_transition(f, g, probe))
         assert got == sc
-        assert 0 < count <= g.rows * g.cols
+        assert_one_lookup_per_cell(tables, g, f._engine.track(probe, f.transitions))
+
+
+def assert_one_lookup_per_cell(tables: CellTables, g, track):
+    """Each cell of ``g``, of two rows or fewer, looked up one frontier."""
+    views = tables.views
+    assert set(views) <= {(False, track), (True, track)}
+    counts = [v.lookups for bottom in (False, True) for v in views.get((bottom, track), ())]
+    assert len(counts) == 2 * g.cols and sum(counts) == g.rows * g.cols
+    assert max(counts) == 1
 
 
 def test_a_transition_that_never_fires_is_not_searched(monkeypatch):
@@ -201,13 +284,13 @@ def test_a_transition_that_never_fires_is_not_searched(monkeypatch):
     eng = f._engine
     assert eng.track(dead, f.transitions) == -1
     g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(2)])
-    steps = counted_steps(monkeypatch, eng)
-    assert recognize_with_transition(f, g, dead) is None
-    assert first_accepted(f, 3, 4, using=dead) is None
+    found, tables = lookups(monkeypatch, eng, lambda: (
+        recognize_with_transition(f, g, dead), first_accepted(f, 3, 4, using=dead)))
+    assert found == (None, None)
     with pytest.raises(UnknownLetter):
         recognize_with_transition(f, grid(["az"]), dead)
-    assert (len(steps), steps.lookups, eng.moves) == (0, 0, {})
-    assert recognize(f, g) is not None and steps.lookups > 0
+    assert (eng.tables, tables.views) == ({}, {})
+    assert recognize(f, g) is not None and tables.lookups > 0
 
 
 def forward_sets(eng: Engine, g, track) -> list[set[int]]:
@@ -216,19 +299,20 @@ def forward_sets(eng: Engine, g, track) -> list[set[int]]:
     q, out = g.cols, [{0}]
     letters = [eng.letter_id[a] for row in g.cells for a in row]
     for p, letter in enumerate(letters[:-1]):
-        out.append(set(eng._succ(out[-1], p % q, q, letter, track)))
+        out.append(eng._layer(out[-1], p, q, letter, track))
     return out
 
 
-def assert_expands_each_frontier_once(eng: Engine, steps: CountingSteps, g, track):
-    """Each step table serves one column of the last row or of the rows
-    above it; it is looked up at most as often as those cells' forward
-    sets hold frontiers, per cell on a grid of two rows or fewer."""
+def assert_expands_each_frontier_once(eng: Engine, tables: CellTables, g, track):
+    """Each view serves one column of the last row or of the rows above
+    it; it is looked up at most as often as those cells' forward sets
+    hold frontiers, per cell on a grid of two rows or fewer."""
     sets, m, q = forward_sets(eng, g, track), g.rows, g.cols
-    for (j, _last, bottom, tracked), table in steps.items():
-        if tracked == track:
-            rows = [m - 1] if bottom else range(m - 1)
-            assert table.lookups <= sum(len(sets[r * q + j]) for r in rows), (j, bottom)
+    for (bottom, tracked), views in tables.views.items():
+        assert tracked == track and len(views) == q
+        rows = [m - 1] if bottom else range(m - 1)
+        for j, view in enumerate(views):
+            assert view.lookups <= sum(len(sets[r * q + j]) for r in rows), (j, bottom)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -241,10 +325,10 @@ def test_a_backtracking_search_expands_each_frontier_once_per_cell(monkeypatch, 
     eng = f._engine
     g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(2)])
     for t in f.transitions:
-        steps = counted_steps(monkeypatch, eng)
-        if recognize_with_transition(f, g, t) is None:
-            assert steps.lookups > 100 * g.rows * g.cols
-            assert_expands_each_frontier_once(eng, steps, g, eng.track(t, f.transitions))
+        found, tables = lookups(monkeypatch, eng, lambda: recognize_with_transition(f, g, t))
+        if found is None:
+            assert tables.lookups > 100 * g.rows * g.cols
+            assert_expands_each_frontier_once(eng, tables, g, eng.track(t, f.transitions))
             break
     else:
         pytest.fail("every transition fires on the grid")
@@ -265,10 +349,10 @@ def test_pcp_near_misses_expand_each_frontier_once_per_cell(monkeypatch):
             g = grid(cells)
             for search, eng in ((lambda: recognize(f, g), f._engine),
                                 (lambda: ts_recognize(ts, g), ts._engine)):
-                steps = counted_steps(monkeypatch, eng)
-                if search() in (None, False):
+                found, tables = lookups(monkeypatch, eng, search)
+                if found in (None, False):
                     rejected += 1
-                    assert_expands_each_frontier_once(eng, steps, g, None)
+                    assert_expands_each_frontier_once(eng, tables, g, None)
     assert rejected >= 40
 
 
@@ -288,19 +372,19 @@ def test_letter_walk_is_determinized(monkeypatch):
     # computes one successor set per cell and letter, not one per prefix
     steps = [0]
     per_size = {}
-    succ, iter_size = Engine._succ, Engine.iter_size
+    layer, iter_size = Engine._layer, Engine.iter_size
 
-    def counting_succ(self, fset, j, q, letter, track):
-        if letter is not None:
+    def counting_layer(self, fset, p, q, slot, track):
+        if slot != -1:
             steps[0] += 1
-        return succ(self, fset, j, q, letter, track)
+        return layer(self, fset, p, q, slot, track)
 
     def counted_size(self, m, q, track, layers):
         before = steps[0]
         yield from iter_size(self, m, q, track, layers)
         per_size[m, q] = steps[0] - before
 
-    monkeypatch.setattr(Engine, "_succ", counting_succ)
+    monkeypatch.setattr(Engine, "_layer", counting_layer)
     monkeypatch.setattr(Engine, "iter_size", counted_size)
     got = enumerate_language(UNIVERSAL, 2, 5)
     assert len(got) == sum(2 ** (m * q) for m, q in sizes(2, 5))
@@ -387,9 +471,9 @@ def test_a_warm_engine_answers_as_a_fresh_one():
         first = first_accepted(f, 2, 3)
         partial = iter_accepted(f, 2, 3)
         head = next(partial, None)
-        # searches stopped early leave nothing but moves and step tables
-        # on the engine
-        kept = lambda e: {k: v for k, v in vars(e).items() if k not in ("moves", "steps")}
+        # searches stopped early leave nothing but step tables on the
+        # engine
+        kept = lambda e: {k: v for k, v in vars(e).items() if k != "tables"}
         assert kept(eng) == kept(Engine.of(f))
         assert first == first_accepted(fresh(), 2, 3)
         lang = enumerate_language(f, 2, 3)
