@@ -45,7 +45,6 @@ from .fis import (
     recognize,
     recognize_with_transition,
     render_scenario,
-    validate,
 )
 from .pcp import (
     MARKER,

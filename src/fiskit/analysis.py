@@ -24,7 +24,6 @@ from .fis import (
     Transition,
     check_scenario,
     first_accepted,
-    live_transitions,
     recognize,
 )
 from .grids import Grid, grid, v_compose
@@ -90,15 +89,16 @@ def finiteness_evidence(f_s: FIS, b: SearchBounds) -> FinitenessReport:
     """Search for a witness and confirm it extends by one padding row.
 
     The padding law needs the pad transition ``p = pad_transition()``
-    to be live, the final states to be exactly ``{p.north}``, ``p.west``
-    to be an initial class and ``p.east`` a final class.  Then a row of
-    ``p`` cells extends every accepted grid, and so does the next such
-    row.  A system that fails one of these raises
-    :class:`NotAReductionFis`, which names it.
+    to be a transition of ``f_s``, the final states to be exactly
+    ``{p.north}``, ``p.west`` to be an initial class and ``p.east`` a
+    final class.  Then a row of ``p`` cells extends every accepted
+    grid, and so does the next such row.  A system that fails one of
+    these raises :class:`NotAReductionFis`, which names it.
     """
     pad = pad_transition()
     for holds, what in (
-            (pad in live_transitions(f_s), f"the pad transition {' '.join(pad)} is not live"),
+            (pad in f_s.transitions, f"the pad transition {' '.join(pad)} is not a transition "
+                                     "of the system"),
             (set(f_s.final_states) == {pad.north}, f"the final states are not just {pad.north}"),
             (pad.west in f_s.initial_classes, f"{pad.west} is not an initial class"),
             (pad.east in f_s.final_classes, f"{pad.east} is not a final class")):

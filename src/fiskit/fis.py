@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import UnknownLetter, UnknownTransition
+from .errors import FormatError, InvalidLetter, UnknownLetter, UnknownTransition
 from .grids import Grid
 from . import grids
 
@@ -65,11 +65,16 @@ _FIS_KEYS = ("alphabet", "states", "classes", "initial_states",
 
 @dataclass(frozen=True)
 class FIS:
-    """A finite interactive system.
+    """A finite interactive system, well formed by construction.
 
-    Declaration order of letters, states, classes, initial sets and
-    transitions is preserved; every search in this package breaks ties
-    by declaration order, so equal inputs give byte-equal outputs.
+    Its names are tokens, each declared once per kind, and ``#`` is no
+    letter; every initial, final and transition name is declared, and
+    no transition repeats.  Otherwise construction raises
+    ``ValueError``, one tagged diagnostic quoting the offending element
+    per broken rule.  Declaration order of letters, states, classes,
+    initial sets and transitions is preserved; every search in this
+    package breaks ties by declaration order, so equal inputs give
+    byte-equal outputs.
     """
 
     alphabet: tuple[str, ...]
@@ -84,10 +89,19 @@ class FIS:
     def __post_init__(self) -> None:
         for name in _FIS_KEYS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(
-            self, "transitions",
-            tuple(t if isinstance(t, Transition) else Transition(*t)
-                  for t in self.transitions))
+        ts = tuple(t if isinstance(t, Transition) else Transition(*t) for t in self.transitions)
+        object.__setattr__(self, "transitions", ts)
+        # one set pass decides; the diagnostics are built for a malformed system only
+        letters, states, classes = set(self.alphabet), set(self.states), set(self.classes)
+        north, west, letter, east, south = zip(*ts) if ts else ((),) * 5
+        if not (all(map(_is_letter, self.alphabet))
+                and all(map(grids.is_token, chain(self.states, self.classes)))
+                and len(letters) == len(self.alphabet) and len(states) == len(self.states)
+                and len(classes) == len(self.classes) and letters.issuperset(letter)
+                and states.issuperset(chain(self.initial_states, self.final_states, north, south))
+                and classes.issuperset(chain(self.initial_classes, self.final_classes, west, east))
+                and len(set(ts)) == len(ts)):
+            raise ValueError("; ".join(_diagnostics(self)))
 
     @cached_property
     def _engine(self) -> Engine:
@@ -97,12 +111,18 @@ class FIS:
         return Engine.of(self)
 
 
-def validate(f: FIS) -> list[str]:
-    """Diagnostics for a system; empty exactly when all invariants hold.
+def _is_letter(a: str) -> bool:
+    """Whether ``a`` passes :func:`fiskit.grids.check_letter`."""
+    try:
+        grids.check_letter(a)
+    except InvalidLetter:
+        return False
+    return True
 
-    Each diagnostic starts with a tag naming the violated invariant and
-    quotes the offending element.
-    """
+
+def _diagnostics(f: FIS) -> list[str]:
+    """Why ``f`` is not well formed: one diagnostic per broken rule,
+    starting with a tag naming the rule and quoting the offending element."""
     out: list[str] = []
 
     def check_names(kind: str, names: tuple[str, ...], ok=grids.is_token) -> None:
@@ -114,7 +134,7 @@ def validate(f: FIS) -> list[str]:
                 out.append(f'Duplicate{kind} "{name}"')
             seen.add(name)
 
-    check_names("Letter", f.alphabet, lambda a: grids.is_token(a) and a != grids.BORDER)
+    check_names("Letter", f.alphabet, _is_letter)
     check_names("State", f.states)
     check_names("Class", f.classes)
 
@@ -146,19 +166,6 @@ def validate(f: FIS) -> list[str]:
             out.append(f"DuplicateTransition {t}")
         seen_trans.add(t)
     return out
-
-
-def live_transitions(f: FIS) -> tuple[Transition, ...]:
-    """The transitions that can fire, in declaration order.
-
-    A transition naming an undeclared letter, state or class can never
-    fire and is left out; duplicate declarations collapse to the first.
-    """
-    letters, states, classes = set(f.alphabet), set(f.states), set(f.classes)
-    return tuple(dict.fromkeys(
-        t for t in f.transitions
-        if t.letter in letters and t.north in states and t.south in states
-        and t.west in classes and t.east in classes))
 
 
 @dataclass(frozen=True)
@@ -254,17 +261,16 @@ def parse_fis(text: str) -> FIS:
     key lists names.
     """
     doc = grids.read_keys(text, {**dict.fromkeys(_FIS_KEYS), "trans": 5})
-    return FIS(transitions=doc.pop("trans"), **doc)
+    try:
+        return FIS(transitions=doc.pop("trans"), **doc)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def format_fis(f: FIS) -> str:
     """Render a system in the text format accepted by :func:`parse_fis`;
-    a name or letter that is not a token is a ``FormatError``.  Only a
-    transition naming an undeclared name adds tokens to check."""
+    its names are tokens, as :class:`FIS` checks, so it reads back."""
     fields = [getattr(f, key) for key in _FIS_KEYS]
-    declared = set(chain(*fields))
-    grids.check_tokens(declared if declared.issuperset(chain.from_iterable(f.transitions))
-                       else chain(declared, *f.transitions))
     lines = [(key + ": " + " ".join(names)).rstrip() for key, names in zip(_FIS_KEYS, fields)]
     lines += ["trans: " + " ".join(t) for t in f.transitions]
     return "\n".join(lines) + "\n"
@@ -334,7 +340,6 @@ class Engine:
                  initial: tuple[Sequence[int], Sequence[int]],
                  final: tuple[Sequence[int], Sequence[int]]):
         self.letter_id, self.letters = letter_id, list(letter_id)
-        self.grid = grids.grid_over(self.letters)
         self.init_states, self.init_classes = initial
         self.fin_fields = frozenset(s + 1 for s in final[0])
         self.fin_classes = frozenset(final[1])
@@ -350,14 +355,14 @@ class Engine:
 
     @classmethod
     def of(cls, f: FIS) -> Engine:
-        """``f`` compiled: the transitions that can fire, in declaration order."""
-        lid, sid, cid = ({name: i for i, name in enumerate(dict.fromkeys(names))}
+        """``f`` compiled: its transitions in declaration order."""
+        lid, sid, cid = ({name: i for i, name in enumerate(names)}
                          for names in (f.alphabet, f.states, f.classes))
-        ids = lambda table, names: tuple(dict.fromkeys(table[x] for x in names if x in table))
+        ids = lambda table, names: tuple(dict.fromkeys(table[x] for x in names))
         out = cls(lid, len(sid), len(cid),
                   (ids(sid, f.initial_states), ids(cid, f.initial_classes)),
                   (ids(sid, f.final_states), ids(cid, f.final_classes)))
-        for t in live_transitions(f):
+        for t in f.transitions:
             out.entries.setdefault((sid[t.north], cid[t.west]), []).append(
                 (lid[t.letter], cid[t.east], sid[t.south], len(out.names)))
             out.names.append(t)
@@ -367,19 +372,16 @@ class Engine:
         """The transitions leaving ``(n, w)``; here a missing entry has none."""
         return self.entries.get((n, w), ())
 
-    def track(self, t: Transition | None, declared: Sequence[Transition]) -> int | None:
-        """The index of a transition of ``declared`` to track, ``None``
-        for none, -1 for one that can never fire, as no move carries
-        it.  Only engines filled by :meth:`of`, whose ``names`` are the
-        transitions of ``declared`` that can fire, are tracked."""
+    def track(self, t: Transition | None) -> int | None:
+        """The index of transition ``t`` to track, ``None`` for none.
+        Only engines filled by :meth:`of`, whose ``names`` are the
+        system's transitions, are tracked."""
         if t is None:
             return None
         t = Transition(*t)
         try:
             return self.names.index(t)
         except ValueError:
-            if t in declared:
-                return -1
             raise UnknownTransition(f"transition {t} is not declared") from None
 
     def _derive(self, kind: tuple, key: int) -> tuple[tuple[int, ...], ...]:
@@ -497,7 +499,8 @@ class Engine:
         if not any(self._accepts(f, q, track) for f in layers[n]):
             return
         useful = self._useful(layers, m, q, track)
-        names, make, letters = self.letters, self.grid, range(len(self.letters))
+        # the letters were checked when the system was built
+        names, make, letters = self.letters, grids.unchecked_grid, range(len(self.letters))
         steps: dict[tuple[int, frozenset[int], int], frozenset[int]] = {}
         canon: dict[frozenset[int], frozenset[int]] = {}
         # depth first over the cells, one letter iterator per cell on an
@@ -527,10 +530,7 @@ class Engine:
     def accepted(self, max_rows: int, max_cols: int,
                  track: int | None = None) -> Iterator[Grid]:
         """Accepted grids within the bounds, in canonical order; a
-        width's forward layers are dropped after its last size; none
-        fires a transition that can never fire."""
-        if track == -1:
-            return
+        width's forward layers are dropped after its last size."""
         forward: dict[int, list[set[int]]] = {}
         order = grids.sizes(max_rows, max_cols)
         last = {q: k for k, (_m, q) in enumerate(order)}
@@ -552,16 +552,13 @@ class Engine:
         cell again, so each (cell, frontier) pair is expanded at most
         once; a run that goes straight down records nothing.  The stack
         is explicit, one entry per cell, so depth is not limited by the
-        interpreter's recursion limit.  None fires a transition that
-        can never fire, so nothing is searched for one.
+        interpreter's recursion limit.
         """
         ids, m, q = self.letter_id, g.rows, g.cols
         try:
             letters = [ids[a] for row in g.cells for a in row]
         except KeyError as e:
             raise UnknownLetter(f"letter {e.args[0]!r} is not in the alphabet") from None
-        if track == -1:
-            return None
         n, km, fb, tables = m * q, self.key_mask, self.field_bits, self.tables
         top = self.shift0 + (q - 1) * fb
         row = lambda bottom: [(kind, tables.setdefault(kind, {})) for kind in (
@@ -622,7 +619,7 @@ def recognize(f: FIS, w: Grid) -> Scenario | None:
 def recognize_with_transition(f: FIS, w: Grid, t: Transition) -> Scenario | None:
     """Like :func:`recognize` but only scenarios in which ``t`` fires."""
     eng = f._engine
-    return eng.scenario(w, eng.track(t, f.transitions))
+    return eng.scenario(w, eng.track(t))
 
 
 def first_accepted(f: FIS, max_rows: int, max_cols: int,
@@ -636,7 +633,7 @@ def first_accepted(f: FIS, max_rows: int, max_cols: int,
     depth-first search of :func:`recognize`.
     """
     eng = f._engine
-    track = eng.track(using, f.transitions)
+    track = eng.track(using)
     for g in eng.accepted(max_rows, max_cols, track):
         return g, eng.scenario(g, track)
     return None

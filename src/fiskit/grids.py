@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ColumnMismatch,
@@ -34,21 +34,6 @@ def is_token(tok: object) -> bool:
     that whitespace does not split (``str.split`` and ``str.isspace``
     agree on every code point)."""
     return isinstance(tok, str) and tok.split() == [tok]
-
-
-def check_tokens(tokens: Iterable[str]) -> None:
-    """Raise :class:`FormatError` unless each of ``tokens`` is a token: a
-    writer's check that its reader will give back every token it writes.
-    Strings joined by single spaces split back into themselves exactly
-    when each is a token, so one join and one split test them all."""
-    tokens = list(tokens)
-    try:
-        if " ".join(tokens).split() == tokens:
-            return
-    except TypeError:  # a token that is not a string
-        pass
-    bad = {repr(tok) for tok in tokens if not is_token(tok)}
-    raise FormatError(f"tokens {sorted(bad)} cannot be serialized")
 
 
 def check_letter(token: str) -> str:
@@ -89,23 +74,10 @@ def grid(rows: Iterable[Sequence[str]]) -> Grid:
     return Grid(tuple(tuple(row) for row in rows))
 
 
-def grid_over(alphabet: Sequence[str]) -> Callable[[Iterable[Sequence[str]]], Grid]:
-    """:func:`grid` for non-empty rectangular rows of letters drawn from
-    ``alphabet``, such as a search builds.
-
-    The alphabet is checked once, here.  When every letter passes, the
-    constructor returned skips the per-cell check; otherwise it is
-    :func:`grid`, which raises on the first grid showing a bad letter.
-    """
-    try:
-        for a in alphabet:
-            check_letter(a)
-    except InvalidLetter:
-        return grid
-    return _prechecked_grid
-
-
-def _prechecked_grid(rows: Iterable[Sequence[str]]) -> Grid:
+def unchecked_grid(rows: Iterable[Sequence[str]]) -> Grid:
+    """:func:`grid` without its checks, for the rows a search builds:
+    non-empty, rectangular and drawn from a system's alphabet, whose
+    letters its constructor checked."""
     g = object.__new__(Grid)
     object.__setattr__(g, "cells", tuple(tuple(row) for row in rows))
     return g

@@ -24,8 +24,8 @@ from functools import cached_property
 from itertools import chain, count
 
 from .errors import FormatError, InvalidLetter, UnknownLetter
-from .fis import FIS, Engine, Transition, live_transitions
-from .grids import BORDER, Grid, check_letter, check_tokens, read_keys, windows
+from .fis import FIS, Engine, Transition
+from .grids import BORDER, Grid, check_letter, read_keys, windows
 
 # a 2x2 array of letters ((nw, ne), (sw, se)), the border symbol
 # permitted; the cyclic collector stops tracking tuples of strings, so
@@ -99,6 +99,8 @@ class TileSystem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", tuple(self.target))
         object.__setattr__(self, "mapping", tuple(tuple(p) for p in self.mapping))
+        for a in self.target:
+            check_letter(a)
         h = dict(self.mapping)
         targets = set(self.target)
         sources = set(self.local.alphabet)
@@ -241,7 +243,7 @@ def fis_to_tiles(f: FIS) -> TileSystem:
     tiles carry the initial and final conditions, interior tiles the
     state and class stitching.
     """
-    ts_list = live_transitions(f)
+    ts_list = f.transitions
     tokens = ["(" + ",".join(map(quote, t)) + ")" for t in ts_list]
     mapping = tuple((tok, t.letter) for tok, t in zip(tokens, ts_list))
 
@@ -365,10 +367,9 @@ def parse_tiles(text: str) -> TileSystem:
 
 
 def format_tiles(ts: TileSystem) -> str:
-    """Render a tile system in the format of :func:`parse_tiles`; a
-    target letter that is not a token is a ``FormatError``.  Every other
-    letter is one, as :class:`LocalLanguage` checks its alphabet."""
-    check_tokens(ts.target)
+    """Render a tile system in the format of :func:`parse_tiles`; its
+    letters are tokens, as :class:`LocalLanguage` and :class:`TileSystem`
+    check, so it reads back."""
     lines = ["alphabet: " + " ".join(ts.local.alphabet),
              "target: " + " ".join(ts.target)]
     lines += [f"map: {a} {b}" for a, b in ts.mapping]

@@ -159,18 +159,32 @@ def test_check_access(files, capsys):
     assert (code, text) == (1, "INACCESSIBLE-WITHIN-BOUNDS\n")
 
 
-def test_check_access_to_a_transition_that_never_fires(files, capsys):
-    # "s c b c s" is declared but reads a letter outside the alphabet
-    dead = files("dead.fis", "alphabet: a\nstates: s\nclasses: c\n"
-                 "initial_states: s\ninitial_classes: c\nfinal_states: s\n"
-                 "final_classes: c\ntrans: s c a c s\ntrans: s c b c s\n")
-    code, text = run(capsys, "check-access", "--fis", dead, "--trans", "s c b c s",
-                     "--max-rows", "2", "--max-cols", "2")
-    assert (code, text) == (1, "INACCESSIBLE-WITHIN-BOUNDS\n")
-    code, text = run(capsys, "check-access", "--fis", dead, "--trans", "s c a c s",
+SINGLE = ("alphabet: a\nstates: s\nclasses: c\ninitial_states: s\ninitial_classes: c\n"
+          "final_states: s\nfinal_classes: c\ntrans: s c a c s\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["check-access", "--trans", "s c a c s", "--max-rows", "2", "--max-cols", "2"],
+    ["check-empty", "--max-rows", "2", "--max-cols", "2"],
+    ["recognize", "--grid", "GRID"],
+], ids=["check-access", "check-empty", "recognize"])
+def test_a_system_naming_an_undeclared_letter_is_an_error(files, capsys, command):
+    # "s c b c s" reads a letter outside the alphabet: the file is malformed
+    bad = files("bad.fis", SINGLE + "trans: s c b c s\n")
+    argv = [files("a.grid", "a\n") if arg == "GRID" else arg for arg in command]
+    assert cli.main([argv[0], "--fis", bad, *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ('error: UndeclaredLetter "b" in Transition(north=\'s\', west=\'c\', '
+                       "letter='b', east='c', south='s')\n")
+
+
+def test_check_access_to_an_undeclared_transition_is_an_error(files, capsys):
+    single = files("single.fis", SINGLE)
+    code, text = run(capsys, "check-access", "--fis", single, "--trans", "s c a c s",
                      "--max-rows", "2", "--max-cols", "2")
     assert (code, text) == (0, "a\n")
-    assert cli.main(["check-access", "--fis", dead, "--trans", "s c x c s",
+    assert cli.main(["check-access", "--fis", single, "--trans", "s c b c s",
                      "--max-rows", "2", "--max-cols", "2"]) == 2
     assert "is not declared" in capsys.readouterr().err
 

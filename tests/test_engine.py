@@ -6,7 +6,6 @@ engine each system keeps across searches."""
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -17,7 +16,6 @@ import pytest
 import oracles
 from conftest import diagonal, make_f1, make_trivial
 from generators import dense_fis, random_fis
-from fiskit.errors import InvalidLetter, UnknownLetter
 from fiskit.fis import (
     FIS,
     Transition,
@@ -129,7 +127,7 @@ def boundary_rows(f: FIS, q: int, rows: int, using=None) -> list[set]:
     A boundary frontier holds one field per column in column order and
     no east class."""
     eng = f._engine
-    track = eng.track(using, f.transitions)
+    track = eng.track(using)
     layers = eng.run_exist(rows, q, track, [{0}])
     names, fb = list(dict.fromkeys(f.states)), eng.field_bits
     out = []
@@ -260,7 +258,7 @@ def test_dense_recognition_does_not_backtrack_through_the_last_row(monkeypatch):
         got, tables = lookups(monkeypatch, f._engine,
                               lambda: recognize_with_transition(f, g, probe))
         assert got == sc
-        assert_one_lookup_per_cell(tables, g, f._engine.track(probe, f.transitions))
+        assert_one_lookup_per_cell(tables, g, f._engine.track(probe))
 
 
 def assert_one_lookup_per_cell(tables: CellTables, g, track):
@@ -270,27 +268,6 @@ def assert_one_lookup_per_cell(tables: CellTables, g, track):
     counts = [v.lookups for bottom in (False, True) for v in views.get((bottom, track), ())]
     assert len(counts) == 2 * g.cols and sum(counts) == g.rows * g.cols
     assert max(counts) == 1
-
-
-def test_a_transition_that_never_fires_is_not_searched(monkeypatch):
-    # declared, but it reads a letter outside the alphabet, so no move
-    # carries it: the tracked searches answer without a step-table
-    # lookup or a move table, where the recognizer used to try every
-    # run of this grid
-    rng = random.Random(0)
-    dense = dense_fis(rng, 0.9)
-    dead = Transition("1", "A", "z", "A", "1")
-    f = dataclasses.replace(dense, transitions=dense.transitions + (dead,))
-    eng = f._engine
-    assert eng.track(dead, f.transitions) == -1
-    g = grid([[rng.choice(f.alphabet) for _ in range(8)] for _ in range(2)])
-    found, tables = lookups(monkeypatch, eng, lambda: (
-        recognize_with_transition(f, g, dead), first_accepted(f, 3, 4, using=dead)))
-    assert found == (None, None)
-    with pytest.raises(UnknownLetter):
-        recognize_with_transition(f, grid(["az"]), dead)
-    assert (eng.tables, tables.views) == ({}, {})
-    assert recognize(f, g) is not None and tables.lookups > 0
 
 
 def forward_sets(eng: Engine, g, track) -> list[set[int]]:
@@ -328,7 +305,7 @@ def test_a_backtracking_search_expands_each_frontier_once_per_cell(monkeypatch, 
         found, tables = lookups(monkeypatch, eng, lambda: recognize_with_transition(f, g, t))
         if found is None:
             assert tables.lookups > 100 * g.rows * g.cols
-            assert_expands_each_frontier_once(eng, tables, g, eng.track(t, f.transitions))
+            assert_expands_each_frontier_once(eng, tables, g, eng.track(t))
             break
     else:
         pytest.fail("every transition fires on the grid")
@@ -514,15 +491,3 @@ def test_a_dropped_system_frees_its_engine_without_the_collector(make, search):
         assert engine() is None
     finally:
         gc.enable()
-
-
-def test_search_grids_still_check_letters_of_unvalidated_systems():
-    # "#" is the border symbol, not a letter: the grid showing it raises
-    f = FIS(alphabet=("a", "#"), states=("s",), classes=("c",),
-            transitions=(("s", "c", "a", "c", "s"), ("s", "c", "#", "c", "s")),
-            initial_states=("s",), initial_classes=("c",),
-            final_states=("s",), final_classes=("c",))
-    found = iter_accepted(f, 1, 1)
-    assert next(found) == grid([["a"]])
-    with pytest.raises(InvalidLetter):
-        next(found)

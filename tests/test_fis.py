@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
 
 import oracles
-from conftest import make_trivial
+from conftest import make_f1, make_trivial
 from generators import random_fis
 from fiskit.errors import FormatError, UnknownLetter, UnknownTransition
 from fiskit.fis import (
@@ -18,54 +18,80 @@ from fiskit.fis import (
     Transition,
     check_scenario,
     enumerate_language,
-    first_accepted,
     format_fis,
     iter_accepted,
     parse_fis,
     recognize,
     recognize_with_transition,
     render_scenario,
-    validate,
 )
 from fiskit.grids import grid
 from fiskit.pcp import PcpInstance, compile_pcp, format_pcp, parse_pcp, witness_from_solution
 from fiskit.tiles import fis_to_tiles, format_tiles, parse_tiles
 
 
-def test_validate_accepts_well_formed(f1):
-    assert validate(f1) == []
+F1 = make_f1()
+T1 = F1.transitions[0]
+# one broken rule each: the names a field of f1 gains, and the diagnostic
+MALFORMED = {
+    "letter-border": ({"alphabet": ("#",)}, 'BadLetter "#"'),
+    "letter-space": ({"alphabet": ("x y",)}, 'BadLetter "x y"'),
+    "letter-empty": ({"alphabet": ("",)}, 'BadLetter ""'),
+    "state-space": ({"states": ("x y",)}, 'BadState "x y"'),
+    "class-empty": ({"classes": ("",)}, 'BadClass ""'),
+    "letter-twice": ({"alphabet": ("a",)}, 'DuplicateLetter "a"'),
+    "state-twice": ({"states": ("1",)}, 'DuplicateState "1"'),
+    "class-twice": ({"classes": ("A",)}, 'DuplicateClass "A"'),
+    "transition-twice": ({"transitions": (T1,)}, f"DuplicateTransition {T1}"),
+    "initial-state": ({"initial_states": ("9",)}, 'UndeclaredState "9" in initial_states'),
+    "final-state": ({"final_states": ("9",)}, 'UndeclaredState "9" in final_states'),
+    "initial-class": ({"initial_classes": ("Z",)}, 'UndeclaredClass "Z" in initial_classes'),
+    "final-class": ({"final_classes": ("Z",)}, 'UndeclaredClass "Z" in final_classes'),
+    **{f"transition-{role}": ({"transitions": (t,)}, f'{tag} "{name}" in {t}')
+       for role, t, tag, name in (
+           ("north", Transition("9", "A", "a", "B", "2"), "UndeclaredState", "9"),
+           ("south", Transition("1", "A", "a", "B", "9"), "UndeclaredState", "9"),
+           ("west", Transition("1", "Z", "a", "B", "2"), "UndeclaredClass", "Z"),
+           ("east", Transition("1", "A", "a", "Z", "2"), "UndeclaredClass", "Z"),
+           ("letter", Transition("1", "A", "z", "B", "2"), "UndeclaredLetter", "z"),
+           ("border", Transition("1", "A", "#", "B", "2"), "UndeclaredLetter", "#"))},
+}
+# a file splits or drops a name that is not a token, so it spells the others only
+SPELLED = [case for case in MALFORMED if not case.endswith(("-space", "-empty"))]
 
 
-def test_validate_flags_undeclared_final_state(f1):
-    bad = FIS(
-        alphabet=f1.alphabet, states=f1.states, classes=f1.classes,
-        transitions=f1.transitions, initial_states=f1.initial_states,
-        initial_classes=f1.initial_classes, final_states=("3",),
-        final_classes=f1.final_classes,
-    )
-    diags = validate(bad)
-    assert any(d.startswith('UndeclaredState "3"') for d in diags)
+def extended(more: dict) -> dict:
+    """The fields of f1, each key of ``more`` with its names appended."""
+    return {field.name: getattr(F1, field.name) + more.get(field.name, ())
+            for field in fields(FIS)}
 
 
-def test_validate_flags_undeclared_parts_of_a_transition(f1):
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_system_is_not_constructed(case):
+    more, diagnostic = MALFORMED[case]
+    with pytest.raises(ValueError) as exc:
+        FIS(**extended(more))
+    assert str(exc.value) == diagnostic
+
+
+@pytest.mark.parametrize("case", SPELLED)
+def test_a_malformed_system_file_is_a_format_error(case):
+    more, diagnostic = MALFORMED[case]
+    f = extended(more)
+    text = "".join(f"{key}: {' '.join(f[key])}\n" for key in f if key != "transitions")
+    text += "".join(f"trans: {' '.join(t)}\n" for t in f["transitions"])
+    with pytest.raises(FormatError) as exc:
+        parse_fis(text)
+    assert str(exc.value) == diagnostic
+
+
+def test_each_broken_rule_has_its_diagnostic(f1):
     t = Transition("9", "Z", "z", "A", "1")
-    assert validate(replace(f1, transitions=(t,))) == [
+    with pytest.raises(ValueError) as exc:
+        replace(f1, transitions=(t,))
+    assert str(exc.value) == "; ".join([
         f'UndeclaredState "9" in {t}', f'UndeclaredClass "Z" in {t}',
-        f'UndeclaredLetter "z" in {t}']
-
-
-def test_validate_flags_duplicates_and_bad_names(f1):
-    bad = FIS(
-        alphabet=("a", "a"), states=("1", "1"), classes=("A", "B C"),
-        transitions=(f1.transitions[0], f1.transitions[0]),
-        initial_states=("1",), initial_classes=("A",),
-        final_states=("1",), final_classes=("A",),
-    )
-    diags = validate(bad)
-    assert any(d.startswith("DuplicateLetter") for d in diags)
-    assert any(d.startswith("DuplicateState") for d in diags)
-    assert any(d.startswith("BadClass") for d in diags)
-    assert any(d.startswith("DuplicateTransition") for d in diags)
+        f'UndeclaredLetter "z" in {t}'])
 
 
 def test_unused_elements_are_reported_not_rejected(f1):
@@ -75,7 +101,6 @@ def test_unused_elements_are_reported_not_rejected(f1):
         initial_states=f1.initial_states, initial_classes=f1.initial_classes,
         final_states=f1.final_states, final_classes=f1.final_classes,
     )
-    assert validate(extended) == []
     assert recognize(extended, grid([["a"]])) is not None
 
 
@@ -123,18 +148,6 @@ def test_recognize_with_transition(f1, diag3, diag1):
     assert recognize_with_transition(f1, diag1, t) is None
     with pytest.raises(UnknownTransition):
         recognize_with_transition(f1, diag1, Transition("9", "A", "a", "B", "2"))
-
-
-def test_a_declared_transition_that_never_fires_is_tracked(f1, diag1, diag3):
-    # a letter outside the alphabet, an undeclared state: declared, never live
-    for t in (Transition("1", "A", "z", "B", "2"), Transition("1", "A", "a", "B", "9")):
-        f = replace(f1, transitions=f1.transitions + (t,))
-        assert recognize(f, diag3) is not None
-        assert recognize_with_transition(f, diag3, t) is None
-        assert recognize_with_transition(f, diag1, t) is None
-        assert first_accepted(f, 3, 3, using=t) is None
-        with pytest.raises(UnknownTransition):
-            recognize_with_transition(f, diag1, Transition("9", "A", "a", "B", "2"))
 
 
 def tamper(sc, i, j, t):

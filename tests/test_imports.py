@@ -140,7 +140,7 @@ PUBLIC = """
     parse_pcp parse_tiles pcp probe_transition probe_witness quote
     recognize recognize_with_transition render_scenario solve_pcp
     structural_check tiles tiles_to_fis
-    ts_language ts_recognize v_compose validate windows witness_from_solution
+    ts_language ts_recognize v_compose windows witness_from_solution
 """.split()
 
 

@@ -26,7 +26,6 @@ from fiskit.fis import (
     format_fis,
     parse_fis,
     recognize,
-    validate,
 )
 from fiskit.grids import BORDER, grid, sizes, windows
 from fiskit.pcp import PcpInstance, compile_pcp, witness_from_solution
@@ -111,19 +110,17 @@ def test_local_language_rejects_tiles_not_2x2(cells):
         LocalLanguage(alphabet=("v",), delta=(((B, B), (B, "v")), cells))
 
 
-def test_conversion_checks_letters_of_unvalidated_systems():
-    # the state name makes a transition token with a space in it
-    f = FIS(alphabet=("a",), states=("s", "a b"), classes=("c",),
-            transitions=(Transition("s", "c", "a", "c", "a b"),),
-            initial_states=("s",), initial_classes=("c",),
-            final_states=("a b",), final_classes=("c",))
+@pytest.mark.parametrize("target", [B, "x y", ""], ids=["border", "space", "empty"])
+def test_a_tile_system_checks_its_target_letters(target):
+    ll = LocalLanguage(alphabet=("v",), delta=corner_tiles("v"))
     with pytest.raises(InvalidLetter):
-        fis_to_tiles(f)
-    # a target letter spelled like the border raises on the grid showing it
-    ts = TileSystem(local=LocalLanguage(alphabet=("v",), delta=corner_tiles("v")),
-                    target=(B,), mapping=(("v", B),))
-    with pytest.raises(InvalidLetter):
-        ts_language(ts, 1, 1)
+        TileSystem(local=ll, target=(target,), mapping=(("v", target),))
+
+
+def test_a_target_letter_spelled_like_the_border_is_a_format_error():
+    # the only one of those targets a document spells as one token
+    with pytest.raises(FormatError, match="reserved border symbol"):
+        parse_tiles("alphabet: v\ntarget: #\nmap: v #\n")
 
 
 def test_tile_system_requires_total_projection():
@@ -265,7 +262,6 @@ def test_tiles_to_fis_matches_oracle_with_punctuated_letters():
     for i in range(200):
         ts = random_tile_system(rng, sources=("p", "p,p", "p/p"))
         f = tiles_to_fis(ts)
-        assert validate(f) == [], i
         table = _PairTable(ts)
         for flag in "FC":  # distinct pairs get distinct names
             assert len({table.name(p, flag) for p in range(2 * table.kk)}) == 2 * table.kk, i
