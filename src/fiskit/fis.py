@@ -27,9 +27,13 @@ west class from the initial classes when the cell is parsed.
 A grid with fixed letters is recognized by a depth-first search that
 tries each frontier's moves in declaration order, each found with one
 int lookup in a step table of its kind of cell, and remembers, per cell,
-the frontiers whose search failed.  As a last-column move must emit a
-final class, a last-row move must emit a final state, so the search
-never backtracks over a bottom border that cannot accept.  The first
+the frontiers whose search failed, so each (cell, frontier) pair is
+expanded at most once.  As a last-column move must emit a final class,
+a last-row move must emit a final state, so the search never
+backtracks over a bottom border that cannot accept.  A cell out of
+moves sends the search back to the last cell on its path with a move
+left, and ends it at once when there is none, so a deterministic
+system rejects a grid after one pass down and one scan back.  The first
 accepting run it completes is the canonical scenario; on an accepted
 grid it is often found after one expansion per cell.  The
 bounded searches choose letters inside the propagation instead: the
@@ -69,12 +73,12 @@ class FIS:
 
     Its names are tokens, each declared once per kind, and ``#`` is no
     letter; every initial, final and transition name is declared, and
-    no transition repeats.  Otherwise construction raises
-    ``ValueError``, one tagged diagnostic quoting the offending element
-    per broken rule.  Declaration order of letters, states, classes,
-    initial sets and transitions is preserved; every search in this
-    package breaks ties by declaration order, so equal inputs give
-    byte-equal outputs.
+    no transition repeats.  Otherwise, and for an unhashable name or a
+    transition not of five names, construction raises ``ValueError``,
+    one tagged diagnostic quoting the offending element per broken
+    rule.  Declaration order of letters, states, classes, initial sets
+    and transitions is preserved; every search in this package breaks
+    ties by declaration order, so equal inputs give byte-equal outputs.
     """
 
     alphabet: tuple[str, ...]
@@ -87,21 +91,28 @@ class FIS:
     final_classes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for name in _FIS_KEYS:
+        for name in (*_FIS_KEYS, "transitions"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        ts = tuple(t if isinstance(t, Transition) else Transition(*t) for t in self.transitions)
-        object.__setattr__(self, "transitions", ts)
         # one set pass decides; the diagnostics are built for a malformed system only
-        letters, states, classes = set(self.alphabet), set(self.states), set(self.classes)
-        north, west, letter, east, south = zip(*ts) if ts else ((),) * 5
-        if not (all(map(_is_letter, self.alphabet))
-                and all(map(grids.is_token, chain(self.states, self.classes)))
-                and len(letters) == len(self.alphabet) and len(states) == len(self.states)
-                and len(classes) == len(self.classes) and letters.issuperset(letter)
-                and states.issuperset(chain(self.initial_states, self.final_states, north, south))
-                and classes.issuperset(chain(self.initial_classes, self.final_classes, west, east))
-                and len(set(ts)) == len(ts)):
+        try:  # an unhashable name, or a transition not of five names
+            ts = tuple(t if isinstance(t, Transition) else Transition(*t)
+                       for t in self.transitions)
+            letters, states, classes = set(self.alphabet), set(self.states), set(self.classes)
+            north, west, letter, east, south = zip(*ts) if ts else ((),) * 5
+            ok = (all(map(_is_letter, self.alphabet))
+                  and all(map(grids.is_token, chain(self.states, self.classes)))
+                  and len(letters) == len(self.alphabet) and len(states) == len(self.states)
+                  and len(classes) == len(self.classes) and letters.issuperset(letter)
+                  and states.issuperset(chain(self.initial_states, self.final_states,
+                                              north, south))
+                  and classes.issuperset(chain(self.initial_classes, self.final_classes,
+                                               west, east))
+                  and len(set(ts)) == len(ts))
+        except TypeError:
+            ok = False
+        if not ok:
             raise ValueError("; ".join(_diagnostics(self)))
+        object.__setattr__(self, "transitions", ts)
 
     @cached_property
     def _engine(self) -> Engine:
@@ -120,9 +131,19 @@ def _is_letter(a: str) -> bool:
     return True
 
 
+def _hashable(x: object) -> bool:
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
+
+
 def _diagnostics(f: FIS) -> list[str]:
     """Why ``f`` is not well formed: one diagnostic per broken rule,
-    starting with a tag naming the rule and quoting the offending element."""
+    starting with a tag naming the rule and quoting the offending element.
+    An unhashable name is a bad name declared nowhere, and a transition
+    not of five names is a ``BadTransition``."""
     out: list[str] = []
 
     def check_names(kind: str, names: tuple[str, ...], ok=grids.is_token) -> None:
@@ -130,16 +151,18 @@ def _diagnostics(f: FIS) -> list[str]:
         for name in names:
             if not ok(name):
                 out.append(f'Bad{kind} "{name}"')
-            if name in seen:
-                out.append(f'Duplicate{kind} "{name}"')
-            seen.add(name)
+            if _hashable(name):
+                if name in seen:
+                    out.append(f'Duplicate{kind} "{name}"')
+                seen.add(name)
 
     check_names("Letter", f.alphabet, _is_letter)
     check_names("State", f.states)
     check_names("Class", f.classes)
 
-    states, classes = set(f.states), set(f.classes)
-    letters = set(f.alphabet)
+    states, classes, letters = (set(filter(_hashable, names))
+                                for names in (f.states, f.classes, f.alphabet))
+    undeclared = lambda name, names: not (_hashable(name) and name in names)
     for role, names, declared, tag in (
         ("initial_states", f.initial_states, states, "UndeclaredState"),
         ("final_states", f.final_states, states, "UndeclaredState"),
@@ -147,24 +170,30 @@ def _diagnostics(f: FIS) -> list[str]:
         ("final_classes", f.final_classes, classes, "UndeclaredClass"),
     ):
         for name in names:
-            if name not in declared:
+            if undeclared(name, declared):
                 out.append(f'{tag} "{name}" in {role}')
 
     seen_trans = set()
     for t in f.transitions:
-        if t.north not in states:
+        try:
+            t = Transition(*t)
+        except TypeError:
+            out.append(f"BadTransition {t!r}")
+            continue
+        if undeclared(t.north, states):
             out.append(f'UndeclaredState "{t.north}" in {t}')
-        if t.south not in states:
+        if undeclared(t.south, states):
             out.append(f'UndeclaredState "{t.south}" in {t}')
-        if t.west not in classes:
+        if undeclared(t.west, classes):
             out.append(f'UndeclaredClass "{t.west}" in {t}')
-        if t.east not in classes:
+        if undeclared(t.east, classes):
             out.append(f'UndeclaredClass "{t.east}" in {t}')
-        if t.letter not in letters:
+        if undeclared(t.letter, letters):
             out.append(f'UndeclaredLetter "{t.letter}" in {t}')
-        if t in seen_trans:
-            out.append(f"DuplicateTransition {t}")
-        seen_trans.add(t)
+        if _hashable(t):
+            if t in seen_trans:
+                out.append(f"DuplicateTransition {t}")
+            seen_trans.add(t)
     return out
 
 
@@ -378,10 +407,10 @@ class Engine:
         system's transitions, are tracked."""
         if t is None:
             return None
-        t = Transition(*t)
         try:
+            t = Transition(*t)
             return self.names.index(t)
-        except ValueError:
+        except (TypeError, ValueError):
             raise UnknownTransition(f"transition {t} is not declared") from None
 
     def _derive(self, kind: tuple, key: int) -> tuple[tuple[int, ...], ...]:
@@ -550,9 +579,17 @@ class Engine:
         and are not tried.  A frontier whose search failed is recorded
         dead at its cell, and one on the current path is not met at its
         cell again, so each (cell, frontier) pair is expanded at most
-        once; a run that goes straight down records nothing.  The stack
-        is explicit, one entry per cell, so depth is not limited by the
-        interpreter's recursion limit.
+        once; a run that goes straight down records nothing.
+
+        When a cell runs out of moves, the search looks down the stack
+        for the last cell passed that still has a move left, which costs
+        no more than popping the entries it passes over, and records as
+        dead only what that cell and the ones after it led to.  When no
+        cell has one, no run is left and the search stops at once,
+        recording nothing: a deterministic system rejects a grid after
+        one pass down and one scan back, without a set per cell.  The
+        stack is explicit, one entry per cell, so depth is not limited
+        by the interpreter's recursion limit.
         """
         ids, m, q = self.letter_id, g.rows, g.cols
         try:
@@ -561,39 +598,47 @@ class Engine:
             raise UnknownLetter(f"letter {e.args[0]!r} is not in the alphabet") from None
         n, km, fb, tables = m * q, self.key_mask, self.field_bits, self.tables
         top = self.shift0 + (q - 1) * fb
-        row = lambda bottom: [(kind, tables.setdefault(kind, {})) for kind in (
-            (j == q - 1, bottom, track, top) for j in range(q))]
-        cells = row(False) * (m - 1) + row(True)  # each cell's kind and table
+        row = lambda bottom: [tables.setdefault((j == q - 1, bottom, track, top), {})
+                              for j in range(q)]
+        cells = row(False) * (m - 1) + row(True)  # each cell's step table
         dead: dict[int, set[int]] = {}
-        stack: list[tuple] = []  # cells passed: moves, rest, next move
-        nf, moves = _START, None
-        while True:
-            p = len(stack)
-            if moves is None:  # expand nf at cell p
-                kind, table = cells[p]
-                moves = table.get(nf & km)
-                if moves is None:
-                    moves = self._derive(kind, nf & km)
-                moves, rest, i = moves[letters[p]], nf >> fb, 0
-            if i < len(moves):
-                nf = rest ^ moves[i]
-                i += 2
-                if dead and nf in dead.get(p, ()):
+        stack: list[tuple] = [()] * n  # cells passed: moves, rest, next move
+        p, nf, last = 0, _START, n - 1
+        while True:  # expand nf at cell p
+            moves = cells[p].get(nf & km)
+            if moves is None:
+                moves = self._derive((p % q == q - 1, p >= n - q, track, top), nf & km)
+            moves, rest, i = moves[letters[p]], nf >> fb, 0
+            while True:  # take the first live move left at cell p
+                while i < len(moves):
+                    nf = rest ^ moves[i]
+                    i += 2
+                    if dead and nf in dead.get(p, ()):
+                        continue
+                    if p < last:
+                        break
+                    # last-row moves emit final states and last-column ones
+                    # final classes, so only the tracked bit is left to test
+                    if track is None or nf & 1:
+                        stack[p] = (moves, rest, i)
+                        return [moves[i - 1] for moves, _rest, i in stack]
+                else:
+                    k = p - 1  # back to the last cell passed with a move left
+                    while k >= 0 and stack[k][2] == len(stack[k][0]):
+                        k -= 1
+                    if k < 0:  # none: no run is left to try
+                        return None
+                    while p > k:  # what cells k to p - 1 led to failed
+                        p -= 1
+                        moves, rest, i = stack[p]
+                        if p in dead:
+                            dead[p].add(rest ^ moves[i - 2])
+                        else:
+                            dead[p] = {rest ^ moves[i - 2]}
                     continue
-                if p + 1 < n:
-                    stack.append((moves, rest, i))
-                    moves = None
-                # last-row moves emit final states and last-column ones
-                # final classes, so only the tracked bit is left to test
-                elif track is None or nf & 1:
-                    stack.append((moves, rest, i))
-                    break
-            elif stack:
-                moves, rest, i = stack.pop()
-                dead.setdefault(len(stack), set()).add(rest ^ moves[i - 2])
-            else:
-                return None
-        return [moves[i - 1] for moves, _rest, i in stack]
+                break
+            stack[p] = (moves, rest, i)
+            p += 1
 
     def scenario(self, g: Grid, track: int | None) -> Scenario | None:
         """The canonical scenario on ``g`` (:meth:`run`), or ``None``;

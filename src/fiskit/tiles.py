@@ -58,9 +58,9 @@ class LocalLanguage:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         for a in self.alphabet:  # a local letter "#" would pass for the frame
             check_letter(a)
-        places = count()
+        places, delta = count(), tuple(self.delta)
         try:  # a list is unhashable, and a tile that is no sequence has no rows
-            index = dict(zip(self.delta, places))
+            index = dict(zip(delta, places))
             rows = frozenset(chain.from_iterable(index))  # tiles share rows: fewer to read
         except TypeError:
             raise ValueError("tiles are 2x2 tuples") from None
@@ -69,6 +69,10 @@ class LocalLanguage:
                 and {*map(len, index), *map(len, rows)} <= {2}):
             raise ValueError("tiles are 2x2 tuples")
         if len(index) < next(places):  # a repeated tile kept its last place
+            # the index keeps the first of equal tiles, so a tuple subclass
+            # after an equal tile, or in a row of one, shows only here
+            if not {*map(type, delta), *map(type, chain.from_iterable(delta))} <= {tuple}:
+                raise ValueError("tiles are 2x2 tuples")
             index = dict(zip(index, count()))
         object.__setattr__(self, "delta", tuple(index))
         object.__setattr__(self, "_index", index)

@@ -94,6 +94,40 @@ def test_each_broken_rule_has_its_diagnostic(f1):
         f'UndeclaredLetter "z" in {t}'])
 
 
+# what no file can spell: a name that is not hashable, a transition
+# not of five names; the diagnostic quotes it as the other rules do
+UNSPELLABLE = {
+    "letter-list": ({"alphabet": (["a"],)}, 'BadLetter "[\'a\']"'),
+    "state-dict": ({"states": ({},)}, 'BadState "{}"'),
+    "class-list-twice": ({"classes": (["Z"], ["Z"])}, 'BadClass "[\'Z\']"; BadClass "[\'Z\']"'),
+    "initial-state-list": ({"initial_states": (["1"],)},
+                           'UndeclaredState "[\'1\']" in initial_states'),
+    "transition-list-name": (
+        {"transitions": (("1", "A", ["a"], "B", "2"),)},
+        'UndeclaredLetter "[\'a\']" in ' + str(Transition("1", "A", ["a"], "B", "2"))),
+    "transition-short": ({"transitions": (("1", "A", "a", "B"),)},
+                         "BadTransition ('1', 'A', 'a', 'B')"),
+    "transition-long": ({"transitions": (tuple(T1) + ("2",),)},
+                        "BadTransition ('1', 'A', 'a', 'B', '2', '2')"),
+    "transition-int": ({"transitions": (7,)}, "BadTransition 7"),
+}
+
+
+@pytest.mark.parametrize("case", UNSPELLABLE)
+def test_an_unspellable_system_is_a_malformed_one(case):
+    more, diagnostic = UNSPELLABLE[case]
+    with pytest.raises(ValueError) as exc:
+        FIS(**extended(more))
+    assert str(exc.value) == diagnostic
+
+
+@pytest.mark.parametrize("t", [T1[:4], (*T1, "2"), 7, ("1", "A", ["a"], "B", "2")],
+                         ids=["short", "long", "int", "list-name"])
+def test_tracking_what_is_no_transition_is_unknown(f1, diag1, t):
+    with pytest.raises(UnknownTransition):
+        recognize_with_transition(f1, diag1, t)
+
+
 def test_unused_elements_are_reported_not_rejected(f1):
     extended = FIS(
         alphabet=f1.alphabet + ("d",), states=f1.states + ("9",),

@@ -77,9 +77,6 @@ def test_quote_escapes_the_token_separators():
 def test_local_language_dedups_and_checks_letters():
     t = ((B, B), (B, "v"))
     ll = LocalLanguage(alphabet=("v",), delta=(t, ((B, B), (B, "v")), t))
-    assert ll.delta == (t,)
-    # a tuple subclass equal to a tile given before it is that tile
-    ll = LocalLanguage(alphabet=("v",), delta=(t, Window(*t)))
     assert ll.delta == (t,) and type(ll.delta[0]) is tuple
     # a tile is a tuple of tuples, never nested lists
     with pytest.raises(ValueError, match="tiles are 2x2 tuples"):
@@ -108,6 +105,19 @@ def test_local_language_dedups_and_checks_letters():
 def test_local_language_rejects_tiles_not_2x2(cells):
     with pytest.raises(ValueError, match="tiles are 2x2 tuples"):
         LocalLanguage(alphabet=("v",), delta=(((B, B), (B, "v")), cells))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["plain-first", "subclass-first"])
+@pytest.mark.parametrize("subclass", [
+    Window((B, B), (B, "v")),
+    ((B, B), Row(B, "v")),
+], ids=["namedtuple-tile", "namedtuple-row"])
+def test_a_repeated_tile_is_checked_in_either_order(subclass, first):
+    # the tile index keeps the first of equal tiles; a tuple subclass
+    # equal to a plain tile is refused before it as after it
+    t = ((B, B), (B, "v"))
+    with pytest.raises(ValueError, match="tiles are 2x2 tuples"):
+        LocalLanguage(alphabet=("v",), delta=(t, subclass) if first else (subclass, t))
 
 
 @pytest.mark.parametrize("target", [B, "x y", ""], ids=["border", "space", "empty"])
