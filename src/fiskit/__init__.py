@@ -29,7 +29,6 @@ from .grids import (
     grid,
     h_compose,
     parse_grid,
-    windows,
     v_compose,
 )
 from .fis import (
@@ -66,7 +65,6 @@ from .tiles import (
     TileSystem,
     fis_to_tiles,
     format_tiles,
-    local_member,
     parse_tiles,
     quote,
     tiles_to_fis,

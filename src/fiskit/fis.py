@@ -40,7 +40,8 @@ bounded searches choose letters inside the propagation instead: the
 set of frontiers after a prefix depends only on the set before its
 last letter, so the letter walk memoizes each step per distinct set,
 an on-the-fly subset construction.  The scenario on a grid they find
-comes from the same depth-first search.
+comes from the same depth-first search.  The engine works on numbers
+only: a run is one transition index per cell, which the system names.
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ class FIS:
     Its names are tokens, each declared once per kind, and ``#`` is no
     letter; every initial, final and transition name is declared, and
     no transition repeats.  Otherwise, and for an unhashable name or a
-    transition not of five names, construction raises ``ValueError``,
-    one tagged diagnostic quoting the offending element per broken
-    rule.  Declaration order of letters, states, classes, initial sets
-    and transitions is preserved; every search in this package breaks
-    ties by declaration order, so equal inputs give byte-equal outputs.
+    transition not of five names (a string is not), construction raises
+    ``ValueError``, one tagged diagnostic quoting the offending element
+    per broken rule.  Declaration order of letters, states, classes,
+    initial sets and transitions is preserved; every search in this
+    package breaks ties by declaration order, so equal inputs give
+    byte-equal outputs.
     """
 
     alphabet: tuple[str, ...]
@@ -95,7 +97,7 @@ class FIS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         # one set pass decides; the diagnostics are built for a malformed system only
         try:  # an unhashable name, or a transition not of five names
-            ts = tuple(t if isinstance(t, Transition) else Transition(*t)
+            ts = tuple(t if isinstance(t, Transition) else _transition(t)
                        for t in self.transitions)
             letters, states, classes = set(self.alphabet), set(self.states), set(self.classes)
             north, west, letter, east, south = zip(*ts) if ts else ((),) * 5
@@ -120,6 +122,15 @@ class FIS:
         cached property lives in the instance ``__dict__``, so the frozen
         fields, equality and hashing are untouched."""
         return Engine.of(self)
+
+
+def _transition(t: object) -> Transition:
+    """``t`` as a ``Transition``: five names, and not a string, whose
+    characters would pass for one-character names; else ``TypeError``.
+    The constructor, its diagnostics and tracking read transitions so."""
+    if isinstance(t, str):
+        raise TypeError("a transition is five names, not a string")
+    return Transition(*t)
 
 
 def _is_letter(a: str) -> bool:
@@ -176,7 +187,7 @@ def _diagnostics(f: FIS) -> list[str]:
     seen_trans = set()
     for t in f.transitions:
         try:
-            t = Transition(*t)
+            t = _transition(t)
         except TypeError:
             out.append(f"BadTransition {t!r}")
             continue
@@ -286,12 +297,12 @@ def parse_fis(text: str) -> FIS:
     """Read a system from its text format.
 
     Lines are ``key: tokens`` (:func:`fiskit.grids.read_keys`).  A
-    ``trans:`` line gives one transition as five tokens; every other
-    key lists names.
+    ``trans:`` line gives one transition as five tokens, read as a
+    ``Transition``; every other key lists names.
     """
     doc = grids.read_keys(text, {**dict.fromkeys(_FIS_KEYS), "trans": 5})
     try:
-        return FIS(transitions=doc.pop("trans"), **doc)
+        return FIS(transitions=map(Transition._make, doc.pop("trans")), **doc)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -314,13 +325,13 @@ _START = 0  # before the first cell: no field drawn, no class, not used
 class Engine:
     """A system numbered for frontier propagation, and every search on it.
 
-    Letters have ids by ``letter_id``, states are ``0..states-1`` and
-    classes ``0..classes-1``.  ``entries`` lists the transitions leaving
-    each (north, west) id pair in canonical order as ``(letter, east,
-    south, index)``, and ``names[index]`` records the transition, as a
-    ``Transition`` when :meth:`of` fills every entry of a FIS at once.
+    The engine holds numbers only.  Letters have ids by ``letter_id``,
+    states are ``0..states-1`` and classes ``0..classes-1``.  ``entries``
+    lists the transitions leaving each (north, west) id pair in canonical
+    order as ``(letter, east, south, index)``, where ``index`` numbers the
+    transition; ``FIS`` and ``TileSystem`` name what the searches return.
     A subclass may derive a missing entry on first request in
-    :meth:`entry` and keep records of its own; :meth:`run` reads none.
+    :meth:`entry`.
 
     A frontier is one int:
 
@@ -373,7 +384,6 @@ class Engine:
         self.fin_fields = frozenset(s + 1 for s in final[0])
         self.fin_classes = frozenset(final[1])
         self.entries: dict[tuple[int, int], Sequence[tuple[int, int, int, int]]] = {}
-        self.names: list = []
 
         self.field_bits = max(1, states.bit_length())
         east_bits = max(1, classes.bit_length())
@@ -384,34 +394,22 @@ class Engine:
 
     @classmethod
     def of(cls, f: FIS) -> Engine:
-        """``f`` compiled: its transitions in declaration order."""
+        """``f`` compiled: a transition's index is its place in
+        ``f.transitions``."""
         lid, sid, cid = ({name: i for i, name in enumerate(names)}
                          for names in (f.alphabet, f.states, f.classes))
         ids = lambda table, names: tuple(dict.fromkeys(table[x] for x in names))
         out = cls(lid, len(sid), len(cid),
                   (ids(sid, f.initial_states), ids(cid, f.initial_classes)),
                   (ids(sid, f.final_states), ids(cid, f.final_classes)))
-        for t in f.transitions:
+        for i, t in enumerate(f.transitions):
             out.entries.setdefault((sid[t.north], cid[t.west]), []).append(
-                (lid[t.letter], cid[t.east], sid[t.south], len(out.names)))
-            out.names.append(t)
+                (lid[t.letter], cid[t.east], sid[t.south], i))
         return out
 
     def entry(self, n: int, w: int) -> Sequence[tuple[int, int, int, int]]:
         """The transitions leaving ``(n, w)``; here a missing entry has none."""
         return self.entries.get((n, w), ())
-
-    def track(self, t: Transition | None) -> int | None:
-        """The index of transition ``t`` to track, ``None`` for none.
-        Only engines filled by :meth:`of`, whose ``names`` are the
-        system's transitions, are tracked."""
-        if t is None:
-            return None
-        try:
-            t = Transition(*t)
-            return self.names.index(t)
-        except (TypeError, ValueError):
-            raise UnknownTransition(f"transition {t} is not declared") from None
 
     def _derive(self, kind: tuple, key: int) -> tuple[tuple[int, ...], ...]:
         """Derive the entry at ``key``, a frontier's low bits ``f &
@@ -640,12 +638,25 @@ class Engine:
             stack[p] = (moves, rest, i)
             p += 1
 
-    def scenario(self, g: Grid, track: int | None) -> Scenario | None:
-        """The canonical scenario on ``g`` (:meth:`run`), or ``None``;
-        ``names`` must hold transitions, as :meth:`of` records them."""
-        run, q = self.run(g, track), g.cols
-        return None if run is None else Scenario(g, tuple(
-            tuple(map(self.names.__getitem__, run[r * q:(r + 1) * q])) for r in range(g.rows)))
+
+def _tracked(f: FIS, t: Transition | None) -> int | None:
+    """The index of transition ``t`` in ``f.transitions``, to track, or
+    ``None`` for none."""
+    if t is None:
+        return None
+    try:
+        t = _transition(t)
+        return f.transitions.index(t)
+    except (TypeError, ValueError):
+        raise UnknownTransition(f"transition {t} is not declared") from None
+
+
+def _scenario(f: FIS, g: Grid, track: int | None) -> Scenario | None:
+    """The canonical scenario of ``f`` on ``g`` (:meth:`Engine.run`), its
+    transition indices named from ``f.transitions``, or ``None``."""
+    run, q, name = f._engine.run(g, track), g.cols, f.transitions.__getitem__
+    return None if run is None else Scenario(g, tuple(
+        tuple(map(name, run[r * q:(r + 1) * q])) for r in range(g.rows)))
 
 
 def recognize(f: FIS, w: Grid) -> Scenario | None:
@@ -658,13 +669,12 @@ def recognize(f: FIS, w: Grid) -> Scenario | None:
     ordered by north state (first row), west class (first column) and
     transition.
     """
-    return f._engine.scenario(w, None)
+    return _scenario(f, w, None)
 
 
 def recognize_with_transition(f: FIS, w: Grid, t: Transition) -> Scenario | None:
     """Like :func:`recognize` but only scenarios in which ``t`` fires."""
-    eng = f._engine
-    return eng.scenario(w, eng.track(t))
+    return _scenario(f, w, _tracked(f, t))
 
 
 def first_accepted(f: FIS, max_rows: int, max_cols: int,
@@ -677,10 +687,9 @@ def first_accepted(f: FIS, max_rows: int, max_cols: int,
     back-pointers; the scenario on the grid it finds comes from the
     depth-first search of :func:`recognize`.
     """
-    eng = f._engine
-    track = eng.track(using)
-    for g in eng.accepted(max_rows, max_cols, track):
-        return g, eng.scenario(g, track)
+    track = _tracked(f, using)
+    for g in f._engine.accepted(max_rows, max_cols, track):
+        return g, _scenario(f, g, track)
     return None
 
 

@@ -1,8 +1,9 @@
 """Rectangular grids of letters and the operations used everywhere else.
 
 A grid is a non-empty rectangular array of letters.  A letter is any
-token (:func:`is_token`) except the reserved border symbol ``#`` which
-only ever appears in the frame that :func:`windows` reads.
+token (:func:`is_token`) except the reserved border symbol ``#``, which
+only ever appears in the frame around a grid that the tiles of
+:mod:`fiskit.tiles` show.
 
 Canonical grid order lives here too: :func:`sizes` lists the sizes in
 the order in which every language, of a system or of a tile system, is
@@ -101,17 +102,6 @@ def h_compose(left: Grid, right: Grid) -> Grid:
     if left.rows != right.rows:
         raise RowMismatch(f"{left.rows} rows vs {right.rows}")
     return Grid(tuple(a + b for a, b in zip(left.cells, right.cells)))
-
-
-def windows(g: Grid) -> list[tuple[tuple[str, str], tuple[str, str]]]:
-    """The (m+1) x (q+1) 2x2 windows of ``g`` framed with the border
-    symbol on all four sides, in row-major order, each ``((nw, ne), (sw,
-    se))``.  The result is the full multiset; deduplicate with ``set``
-    for membership tests."""
-    frame = (BORDER,) * (g.cols + 2)
-    rows = [frame, *((BORDER, *row, BORDER) for row in g.cells), frame]
-    return [((top[j], top[j + 1]), (bottom[j], bottom[j + 1]))
-            for top, bottom in zip(rows, rows[1:]) for j in range(g.cols + 1)]
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:

@@ -7,7 +7,9 @@ of its letters, the border symbol permitted, and no other form is
 accepted; :class:`LocalLanguage` is where tiles enter and are checked,
 and it keeps the one tile index and the set of distinct tile rows.
 A tile system adds a projection h from V' onto a target alphabet V and
-recognizes the h-images of a local language.
+recognizes the h-images of a local language; with h the identity it
+recognizes the local language itself, so membership in a local
+language is :func:`ts_recognize` on that system.
 Tile systems and finite interactive systems recognize the same grid
 languages; :func:`fis_to_tiles` and :func:`tiles_to_fis` realize the
 two directions of that equivalence.  Searches on a tile system run on
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
 
-from .errors import FormatError, InvalidLetter, UnknownLetter
+from .errors import FormatError, InvalidLetter
 from .fis import FIS, Engine, Transition
-from .grids import BORDER, Grid, check_letter, read_keys, windows
+from .grids import BORDER, Grid, check_letter, read_keys
 
 # a 2x2 array of letters ((nw, ne), (sw, se)), the border symbol
 # permitted; the cyclic collector stops tracking tuples of strings, so
@@ -47,8 +49,8 @@ class LocalLanguage:
     Tiles come as ``((nw, ne), (sw, se))`` tuples only.  The pass that
     deduplicates them leaves the one tile index, ``_index``, each
     distinct tile to its place in ``delta``, and ``_rows``, the set of
-    distinct tile rows, which the shape and letter checks read.
-    Membership tests and the tile engine read these, never the tiles whole.
+    distinct tile rows, which the shape and letter checks read.  The
+    tile engine reads these, never the tiles whole.
     """
 
     alphabet: tuple[str, ...]
@@ -80,16 +82,6 @@ class LocalLanguage:
         if bad := set(chain.from_iterable(rows)) - {*self.alphabet, BORDER}:
             cell = next(c for t in self.delta for row in t for c in row if c in bad)
             raise ValueError(f"tile letter {cell!r} not in the alphabet")
-
-
-def local_member(ll: LocalLanguage, w: Grid) -> bool:
-    """Whether every bordered 2x2 window of ``w`` is a tile of ``ll``."""
-    known = set(ll.alphabet)
-    for row in w.cells:
-        for cell in row:
-            if cell not in known:
-                raise UnknownLetter(f"letter {cell!r} is not in the alphabet")
-    return all(window in ll._index for window in windows(w))
 
 
 @dataclass(frozen=True)
@@ -156,8 +148,9 @@ class _PairTable(Engine):
     tile index tells whether ``(nw, ne / sw, se)`` is a tile and where,
     and the moves follow tile order.  Compiling reads the distinct rows,
     not the tiles, and a search builds only the entries it reaches.
-    ``names`` holds each transition as its ids ``(n, w, e, s)``, which
-    searches never name; :meth:`spell` names one for :func:`tiles_to_fis`.
+    A derived move is numbered by a counter, so walking ``entries`` in
+    insertion order meets the moves in the order of their indices;
+    :meth:`spell` names one for :func:`tiles_to_fis`.
     """
 
     def __init__(self, ts: TileSystem):
@@ -179,6 +172,7 @@ class _PairTable(Engine):
             if (row, _FRAME) in index:
                 south.append(x * k + y)
         self.after = [tuple(a) for a in after]  # which the cyclic collector lets go
+        self.derived = 0  # the moves derived so far
         super().__init__(tid, 2 * kk, 2 * kk, ((0, kk), (0,)), (self.finals(south), ()))
         self.fin_classes = range(kk, 2 * kk)  # a range needs no k^2 set
 
@@ -193,9 +187,8 @@ class _PairTable(Engine):
         x, y = divmod(pair % self.kk, self.k)
         return f"{flag if pair >= self.kk else ''}({self.quoted[x]},{self.quoted[y]})"
 
-    def spell(self, record: tuple[int, int, int, int]) -> Transition:
-        """The transition of ``record``, ids ``(n, w, e, s)`` from ``names``."""
-        n, w, e, s = record
+    def spell(self, n: int, w: int, e: int, s: int) -> Transition:
+        """The transition of the move from ``(n, w)`` to ``(e, s)``."""
         return Transition(self.name(n, "F"), self.name(w, "C"), self.letters[self.h[s % self.k]],
                           self.name(e, "C"), self.name(s, "F"))
 
@@ -210,13 +203,14 @@ class _PairTable(Engine):
             return out
         sw, flag = w % k, kk if closing else 0
         top, index, east = (self.local[nw], self.local[ne]), self.index, self.east
+        i = self.derived
         for _at, se in sorted((at, se) for row, se in self.after[sw]  # in tile order
                               if (at := index.get((top, row))) is not None):
             if closing and (east[ne], east[se]) not in index:
                 continue
-            e, s = flag + ne * k + se, flag + sw * k + se
-            out.append((self.h[se], e, s, len(self.names)))
-            self.names.append((n, w, e, s))
+            out.append((self.h[se], flag + ne * k + se, flag + sw * k + se, i))
+            i += 1
+        self.derived = i
         return out
 
 
@@ -316,7 +310,9 @@ def tiles_to_fis(ts: TileSystem) -> FIS:
     Searches on ``ts`` run on this system without building it whole;
     written whole, it takes one walk over the tiles, which requests the
     entries in first-tile order and gives the final states and classes
-    in tile order, so the output follows the order of the tiles."""
+    in tile order, and one walk over the entries in the order they were
+    derived, which spells the transitions, so the output follows the
+    order of the tiles."""
     table = _PairTable(ts)
     k, kk, lid = table.k, table.kk, table.lid
     south, east = [], []
@@ -328,7 +324,8 @@ def tiles_to_fis(ts: TileSystem) -> FIS:
             south.append(nw * k + ne)
         if ne == se == 0:
             east.append(kk + nw * k + sw)
-    trans = tuple(map(table.spell, table.names))
+    trans = tuple(table.spell(n, w, e, s) for (n, w), moves in table.entries.items()
+                  for _letter, e, s, _i in moves)
     init_s, fin_s = (tuple(table.name(i, "F") for i in ids)
                      for ids in (table.init_states, table.finals(south)))
     init_c, fin_c = (tuple(table.name(i, "C") for i in ids)

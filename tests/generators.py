@@ -6,8 +6,9 @@ import itertools
 import random
 
 from fiskit.fis import FIS, Transition
-from fiskit.grids import BORDER, grid, windows
+from fiskit.grids import BORDER, grid
 from fiskit.tiles import LocalLanguage, Tile, TileSystem
+from oracles import bordered_windows
 
 
 def random_fis(rng: random.Random, states=("1", "2", "3"), classes=("A", "B", "C"),
@@ -69,7 +70,7 @@ def random_tile_system(rng: random.Random, sources=("p", "q", "r"),
     for _ in range(rng.randint(1, 3)):
         m, q = rng.randint(1, 2), rng.randint(1, 2)
         g = grid([[rng.choice(sources) for _ in range(q)] for _ in range(m)])
-        for t in windows(g):
+        for t in bordered_windows(g):
             if t not in seen:
                 seen.add(t)
                 tiles.append(t)

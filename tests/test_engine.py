@@ -128,7 +128,7 @@ def boundary_rows(f: FIS, q: int, rows: int, using=None) -> list[set]:
     A boundary frontier holds one field per column in column order and
     no east class."""
     eng = f._engine
-    track = eng.track(using)
+    track = None if using is None else f.transitions.index(using)
     layers = eng.run_exist(rows, q, track, [{0}])
     names, fb = list(dict.fromkeys(f.states)), eng.field_bits
     out = []
@@ -259,7 +259,7 @@ def test_dense_recognition_does_not_backtrack_through_the_last_row(monkeypatch):
         got, tables = lookups(monkeypatch, f._engine,
                               lambda: recognize_with_transition(f, g, probe))
         assert got == sc
-        assert_one_lookup_per_cell(tables, g, f._engine.track(probe))
+        assert_one_lookup_per_cell(tables, g, f.transitions.index(probe))
 
 
 def assert_one_lookup_per_cell(tables: CellTables, g, track):
@@ -306,7 +306,7 @@ def test_a_backtracking_search_expands_each_frontier_once_per_cell(monkeypatch, 
         found, tables = lookups(monkeypatch, eng, lambda: recognize_with_transition(f, g, t))
         if found is None:
             assert tables.lookups > 100 * g.rows * g.cols
-            assert_expands_each_frontier_once(eng, tables, g, eng.track(t))
+            assert_expands_each_frontier_once(eng, tables, g, f.transitions.index(t))
             break
     else:
         pytest.fail("every transition fires on the grid")

@@ -95,7 +95,8 @@ def test_each_broken_rule_has_its_diagnostic(f1):
 
 
 # what no file can spell: a name that is not hashable, a transition
-# not of five names; the diagnostic quotes it as the other rules do
+# not of five names, such as a string of five characters; the
+# diagnostic quotes it as the other rules do
 UNSPELLABLE = {
     "letter-list": ({"alphabet": (["a"],)}, 'BadLetter "[\'a\']"'),
     "state-dict": ({"states": ({},)}, 'BadState "{}"'),
@@ -110,6 +111,7 @@ UNSPELLABLE = {
     "transition-long": ({"transitions": (tuple(T1) + ("2",),)},
                         "BadTransition ('1', 'A', 'a', 'B', '2', '2')"),
     "transition-int": ({"transitions": (7,)}, "BadTransition 7"),
+    "transition-str": ({"transitions": ("1AaB2",)}, "BadTransition '1AaB2'"),
 }
 
 
@@ -121,8 +123,8 @@ def test_an_unspellable_system_is_a_malformed_one(case):
     assert str(exc.value) == diagnostic
 
 
-@pytest.mark.parametrize("t", [T1[:4], (*T1, "2"), 7, ("1", "A", ["a"], "B", "2")],
-                         ids=["short", "long", "int", "list-name"])
+@pytest.mark.parametrize("t", [T1[:4], (*T1, "2"), 7, ("1", "A", ["a"], "B", "2"), "1AaB2"],
+                         ids=["short", "long", "int", "list-name", "str"])
 def test_tracking_what_is_no_transition_is_unknown(f1, diag1, t):
     with pytest.raises(UnknownTransition):
         recognize_with_transition(f1, diag1, t)

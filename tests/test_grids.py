@@ -1,4 +1,5 @@
-"""Grid construction, composition, borders, windows and text format."""
+"""Grid construction, composition, the bordered windows the oracles
+read, and text format."""
 
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from fiskit.grids import (
     h_compose,
     parse_grid,
     v_compose,
-    windows,
 )
+from oracles import bordered_windows
 
 letters = st.sampled_from(["a", "b"])
 
@@ -97,7 +98,7 @@ def test_compose_mismatches():
 def framed(g):
     """The bordered grid, read back from the corners of its windows."""
     m, q = g.rows, g.cols
-    ws = windows(g)
+    ws = bordered_windows(g)
     return tuple(
         tuple(
             ws[min(i, m) * (q + 1) + min(j, q)][i - min(i, m)][j - min(j, q)]
@@ -117,7 +118,7 @@ def test_border_frames_with_reserved_symbol():
 
 def test_subgrids_of_smallest_bordered_grid():
     # the four windows of the bordered 1x1 grid, in row-major order
-    assert windows(grid([["a"]])) == [
+    assert bordered_windows(grid([["a"]])) == [
         (("#", "#"), ("#", "a")),
         (("#", "#"), ("a", "#")),
         (("#", "a"), ("#", "#")),
@@ -127,7 +128,7 @@ def test_subgrids_of_smallest_bordered_grid():
 
 def test_subgrids_window_count():
     g = grid([["a", "b", "b"], ["c", "a", "b"]])  # bordered 4x5
-    assert len(windows(g)) == 3 * 4
+    assert len(bordered_windows(g)) == 3 * 4
 
 
 same_width_triples = st.integers(1, 3).flatmap(
@@ -147,13 +148,13 @@ def test_v_compose_associative(gs):
 
 @given(small_grids)
 def test_subgrids_multiset_size(g):
-    assert len(windows(g)) == (g.rows + 1) * (g.cols + 1)
+    assert len(bordered_windows(g)) == (g.rows + 1) * (g.cols + 1)
 
 
 @given(small_grids)
 def test_border_only_frame_is_reserved(g):
     # window p's cell (di, dj) is cell (p // (q+1) + di, p % (q+1) + dj) of the framed grid
-    for p, window in enumerate(windows(g)):
+    for p, window in enumerate(bordered_windows(g)):
         i, j = divmod(p, g.cols + 1)
         for di, row in enumerate(window):
             for dj, cell in enumerate(row):

@@ -136,11 +136,11 @@ PUBLIC = """
     finiteness_evidence first_accepted fis fis_to_tiles
     format_finiteness_report format_fis format_grid format_pcp
     format_structural_report format_tiles grid grids h_compose
-    iter_accepted local_member main pad_transition parse_fis parse_grid
+    iter_accepted main pad_transition parse_fis parse_grid
     parse_pcp parse_tiles pcp probe_transition probe_witness quote
     recognize recognize_with_transition render_scenario solve_pcp
     structural_check tiles tiles_to_fis
-    ts_language ts_recognize v_compose windows witness_from_solution
+    ts_language ts_recognize v_compose witness_from_solution
 """.split()
 
 

@@ -27,7 +27,7 @@ from fiskit.fis import (
     parse_fis,
     recognize,
 )
-from fiskit.grids import BORDER, grid, sizes, windows
+from fiskit.grids import BORDER, grid, sizes
 from fiskit.pcp import PcpInstance, compile_pcp, witness_from_solution
 from fiskit.tiles import (
     LocalLanguage,
@@ -36,7 +36,6 @@ from fiskit.tiles import (
     _PairTable,
     fis_to_tiles,
     format_tiles,
-    local_member,
     parse_tiles,
     quote,
     tiles_to_fis,
@@ -146,12 +145,15 @@ def test_tile_system_requires_total_projection():
 
 
 def test_local_member_single_cell():
+    # the local language is the tile system projecting each letter to itself
     ll = LocalLanguage(alphabet=("v",), delta=corner_tiles("v"))
-    assert local_member(ll, grid(["v"]))
+    ident = TileSystem(local=ll, target=ll.alphabet, mapping=[(a, a) for a in ll.alphabet])
+    assert oracles.local_accepts(ll.delta, grid(["v"])) and ts_recognize(ident, grid(["v"]))
     # the vertical pair needs interior edge tiles the set lacks
-    assert not local_member(ll, grid(["v", "v"]))
+    assert not oracles.local_accepts(ll.delta, grid(["v", "v"]))
+    assert not ts_recognize(ident, grid(["v", "v"]))
     with pytest.raises(UnknownLetter):
-        local_member(ll, grid(["w"]))
+        ts_recognize(ident, grid(["w"]))
 
 
 def test_ts_recognize_single_cell(single_cell):
@@ -182,7 +184,7 @@ def test_missing_corner_window_rejects():
     ll = LocalLanguage(alphabet=("v",), delta=corner_tiles("v")[:3])
     ts = TileSystem(local=ll, target=("x",), mapping=(("v", "x"),))
     g = grid(["x"])
-    assert not local_member(ll, grid(["v"]))
+    assert not oracles.local_accepts(ll.delta, grid(["v"]))
     assert not ts_recognize(ts, g)
     assert recognize(tiles_to_fis(ts), g) is None
 
@@ -440,7 +442,9 @@ def test_tile_engine_scenarios_replay_on_tiles_to_fis(sources):
                     ts.local.alphabet, dict(ts.mapping), delta, g)
                 assert (run is not None) == want, (i, g.cells)
                 if run is not None:
-                    spelled = [eng.spell(eng.names[t]) for t in run]
+                    spell = {ti: eng.spell(n, w, e, s) for (n, w), moves in eng.entries.items()
+                             for _letter, e, s, ti in moves}
+                    spelled = [spell[t] for t in run]
                     sc = recognize(f, g)
                     assert check_scenario(f, sc) == [], (i, g.cells)
                     assert spelled == [t for row in sc.cell_runs for t in row], (i, g.cells)
@@ -449,19 +453,24 @@ def test_tile_engine_scenarios_replay_on_tiles_to_fis(sources):
 
 
 def test_tile_engine_searches_name_no_transition():
-    # recognition and enumeration keep the derived transitions as ids
+    # an engine holds numbers only: recognition and enumeration derive
+    # moves of four ints, numbered in the order of derivation, which is
+    # the order in which tiles_to_fis walks the entries to spell them
     rng = random.Random(919)
-    names = 0
+    derived = 0
     for _ in range(20):
         ts = random_tile_system(rng)
         for g in oracles.all_grids(ts.target, 2, 2):
             ts_recognize(ts, g)
         ts_language(ts, 2, 3)
-        records = ts._engine.names
-        assert all(type(t) is tuple and len(t) == 4 and all(type(x) is int for x in t)
-                   for t in records)
-        names += len(records)
-    assert names > 0
+        for eng in ts._engine, tiles_to_fis(ts)._engine:
+            assert not any(hasattr(eng, a) for a in ("names", "track", "scenario"))
+        moves = [move for moves in ts._engine.entries.values() for move in moves]
+        assert all(type(move) is tuple and len(move) == 4
+                   and all(type(x) is int for x in move) for move in moves)
+        assert [move[3] for move in moves] == list(range(ts._engine.derived))
+        derived += len(moves)
+    assert derived > 0
 
 
 def test_conflicting_map_lines_are_rejected(tmp_path, capsys):
@@ -499,7 +508,7 @@ def test_repeated_local_letters_are_one_letter():
     # the windows of the grid v w / v w: its language is every grid whose rows are all v w
     text = "alphabet: v w v\ntarget: x y\nmap: v x\nmap: w y\n"
     g = grid([["v", "w"], ["v", "w"]])
-    for window in dict.fromkeys(windows(g)):
+    for window in dict.fromkeys(oracles.bordered_windows(g)):
         (nw, ne), (sw, se) = window
         text += f"tile: {nw} {ne} / {sw} {se}\n"
     ts = parse_tiles(text)
