@@ -6,7 +6,6 @@
 from pathlib import Path
 
 from fiskit import (
-    SearchBounds,
     bounded_accessibility,
     bounded_emptiness,
     compile_pcp,
@@ -26,7 +25,7 @@ for name, p in (("unit", solvable), ("mismatch", hopeless)):
     print(f"== instance {name}: x={p.x} y={p.y}")
     f = compile_pcp(p)
 
-    found = bounded_emptiness(f, SearchBounds(6, 8))
+    found = bounded_emptiness(f, 6, 8)
     if found is None:
         print("emptiness: no accepted grid within 6x8")
     else:
@@ -35,13 +34,13 @@ for name, p in (("unit", solvable), ("mismatch", hopeless)):
 
     # a nonempty language here is automatically infinite: the witness
     # pumps vertically by one $-row at a time, and the report shows it
-    print(format_finiteness_report(finiteness_evidence(f, SearchBounds(6, 8))),
+    print(format_finiteness_report(finiteness_evidence(f, 6, 8)),
           end="")
 
     # the probe extension makes "is this transition ever used" the same
     # question as emptiness of the unextended system
     f1 = compile_pcp_probe(p)
-    hit = bounded_accessibility(f1, probe_transition(), SearchBounds(6, 9))
+    hit = bounded_accessibility(f1, probe_transition(), 6, 9)
     if hit is None:
         print("probe: unreachable within 6x9")
     else:

@@ -74,7 +74,6 @@ from .tiles import (
 from .analysis import (
     CheckResult,
     FinitenessReport,
-    SearchBounds,
     StructuralReport,
     bounded_accessibility,
     bounded_emptiness,

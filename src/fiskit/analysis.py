@@ -2,14 +2,15 @@
 
 Emptiness and accessibility of a transition are undecidable for these
 systems, so the procedures here are bounded surrogates: they search all
-grid sizes up to given limits, deterministically, and report what they
-find.  For systems produced by :func:`fiskit.pcp.compile_pcp` the found
-scenarios have a rigid shape (two rows spelling a word equation, then
-marker rows reducing it); :func:`structural_check` verifies that shape
-claim by claim, reading each compiled name by comparing it with the
-names :mod:`fiskit.pcp` writes.  :func:`finiteness_evidence` confirms
-that a found witness pumps vertically, on any system where the padding
-law holds for :func:`fiskit.pcp.pad_transition`, so a nonempty
+grid sizes up to ``max_rows`` by ``max_cols``, deterministically, and
+report what they find; a bound below 1 is a ``ValueError``, as in every
+search.  For systems produced by :func:`fiskit.pcp.compile_pcp` the
+found scenarios have a rigid shape (two rows spelling a word equation,
+then marker rows reducing it); :func:`structural_check` verifies that
+shape claim by claim, reading each compiled name by comparing it with
+the names :mod:`fiskit.pcp` writes.  :func:`finiteness_evidence`
+confirms that a found witness pumps vertically, on any system where the
+padding law holds for :func:`fiskit.pcp.pad_transition`, so a nonempty
 language is infinite.
 """
 
@@ -30,19 +31,8 @@ from .grids import Grid, grid, v_compose
 from .pcp import MARKER, PcpInstance, a_state, c_state, compile_pcp, m_class, pad_transition
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Inclusive limits on grid rows and columns for bounded searches."""
-
-    max_rows: int
-    max_cols: int
-
-    def __post_init__(self) -> None:
-        if self.max_rows < 1 or self.max_cols < 1:
-            raise ValueError("bounds must be at least 1x1")
-
-
-def bounded_emptiness(f: FIS, b: SearchBounds) -> tuple[Grid, Scenario] | None:
+def bounded_emptiness(f: FIS, max_rows: int,
+                      max_cols: int) -> tuple[Grid, Scenario] | None:
     """The canonically first accepted grid within bounds, with its
     scenario, or ``None`` when the language is empty within bounds.
 
@@ -50,14 +40,14 @@ def bounded_emptiness(f: FIS, b: SearchBounds) -> tuple[Grid, Scenario] | None:
     letters by alphabet declaration order.  Letters are chosen inside
     frontier propagation, so grids are never enumerated one by one.
     """
-    return first_accepted(f, b.max_rows, b.max_cols)
+    return first_accepted(f, max_rows, max_cols)
 
 
-def bounded_accessibility(f: FIS, t: Transition,
-                          b: SearchBounds) -> tuple[Grid, Scenario] | None:
+def bounded_accessibility(f: FIS, t: Transition, max_rows: int,
+                          max_cols: int) -> tuple[Grid, Scenario] | None:
     """The canonically first accepted grid within bounds whose scenario
     uses ``t``, with such a scenario, or ``None``."""
-    return first_accepted(f, b.max_rows, b.max_cols, using=t)
+    return first_accepted(f, max_rows, max_cols, using=t)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +57,7 @@ def bounded_accessibility(f: FIS, t: Transition,
 class FinitenessReport:
     """Outcome of the witness-and-pump probe behind :func:`finiteness_evidence`."""
 
-    bounds: SearchBounds
+    bounds: tuple[int, int]  # (max_rows, max_cols)
     witness: Grid | None
     pumped: Grid | None
     pumped_accepted: bool | None
@@ -85,7 +75,7 @@ class FinitenessReport:
         return "nonempty, but the padded witness was rejected"
 
 
-def finiteness_evidence(f_s: FIS, b: SearchBounds) -> FinitenessReport:
+def finiteness_evidence(f_s: FIS, max_rows: int, max_cols: int) -> FinitenessReport:
     """Search for a witness and confirm it extends by one padding row.
 
     The padding law needs the pad transition ``p = pad_transition()``
@@ -104,17 +94,18 @@ def finiteness_evidence(f_s: FIS, b: SearchBounds) -> FinitenessReport:
             (pad.east in f_s.final_classes, f"{pad.east} is not a final class")):
         if not holds:
             raise NotAReductionFis(f"no padding law: {what}")
-    found = bounded_emptiness(f_s, b)
+    bounds = (max_rows, max_cols)
+    found = bounded_emptiness(f_s, max_rows, max_cols)
     if found is None:
-        return FinitenessReport(b, None, None, None)
+        return FinitenessReport(bounds, None, None, None)
     w, _ = found
     pumped = v_compose(w, grid([[pad.letter] * w.cols]))
     accepted = recognize(f_s, pumped) is not None
-    return FinitenessReport(b, w, pumped, accepted)
+    return FinitenessReport(bounds, w, pumped, accepted)
 
 
 def format_finiteness_report(rep: FinitenessReport) -> str:
-    lines = [f"bounds: {rep.bounds.max_rows}x{rep.bounds.max_cols}"]
+    lines = ["bounds: {}x{}".format(*rep.bounds)]
     if rep.witness is None:
         lines.append("witness: none")
     else:

@@ -14,7 +14,6 @@ from functools import cache
 from pathlib import Path
 
 from .analysis import (
-    SearchBounds,
     bounded_accessibility,
     bounded_emptiness,
     format_structural_report,
@@ -64,8 +63,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     f = parse_fis(_read(args.fis))
-    b = SearchBounds(args.max_rows, args.max_cols)
-    for w in iter_accepted(f, b.max_rows, b.max_cols):
+    for w in iter_accepted(f, args.max_rows, args.max_cols):
         sys.stdout.write(format_grid(w) + "\n")
     return 0
 
@@ -106,7 +104,7 @@ def _verdict(found: tuple | None, no: str) -> int:
 
 def _cmd_check_empty(args) -> int:
     f = parse_fis(_read(args.fis))
-    return _verdict(bounded_emptiness(f, SearchBounds(args.max_rows, args.max_cols)),
+    return _verdict(bounded_emptiness(f, args.max_rows, args.max_cols),
                     "EMPTY-WITHIN-BOUNDS")
 
 
@@ -115,8 +113,7 @@ def _cmd_check_access(args) -> int:
     tokens = args.trans.split()
     if len(tokens) != 5:
         raise FormatError("--trans needs five tokens: north west letter east south")
-    return _verdict(bounded_accessibility(f, Transition(*tokens),
-                                          SearchBounds(args.max_rows, args.max_cols)),
+    return _verdict(bounded_accessibility(f, Transition(*tokens), args.max_rows, args.max_cols),
                     "INACCESSIBLE-WITHIN-BOUNDS")
 
 

@@ -697,7 +697,8 @@ def iter_accepted(f: FIS, max_rows: int, max_cols: int) -> Iterator[Grid]:
     """Accepted grids within the bounds, in canonical order.
 
     Canonical order is area, then row count, then row-major letter
-    order by alphabet declaration.
+    order by alphabet declaration.  A bound below 1 raises
+    ``ValueError`` at the first item, as every search does when called.
     """
     yield from f._engine.accepted(max_rows, max_cols)
 

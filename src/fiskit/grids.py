@@ -85,7 +85,12 @@ def unchecked_grid(rows: Iterable[Sequence[str]]) -> Grid:
 
 
 def sizes(max_rows: int, max_cols: int) -> list[tuple[int, int]]:
-    """Grid sizes within the bounds in canonical order: area, then rows."""
+    """Grid sizes within the bounds in canonical order: area, then rows.
+
+    Every bounded search starts here, so this is where a bound below 1
+    is refused: no size fits it, and an empty search is no verdict."""
+    if max_rows < 1 or max_cols < 1:
+        raise ValueError("bounds must be at least 1x1")
     return sorted(((m, q) for m in range(1, max_rows + 1) for q in range(1, max_cols + 1)),
                   key=lambda mq: (mq[0] * mq[1], mq[0]))
 

@@ -16,7 +16,6 @@ import oracles
 from conftest import diagonal, make_f1
 from generators import random_fis, random_tile_system
 from fiskit.analysis import (
-    SearchBounds,
     bounded_accessibility,
     bounded_emptiness,
     format_structural_report,
@@ -99,7 +98,7 @@ def _criterion_3() -> str:
         f = compile_pcp(p)
         w = witness_from_solution(p, sol)
         assert recognize(f, w) is not None
-        found = bounded_emptiness(f, SearchBounds(6, 6))
+        found = bounded_emptiness(f, 6, 6)
         assert found is not None and found[0] == w
         assert (w.rows, w.cols) == dims
         out.append(format_grid(w))
@@ -122,20 +121,18 @@ def _criterion_4() -> str:
 
 
 def _criterion_5() -> str:
-    assert bounded_emptiness(compile_pcp(P_NEG), SearchBounds(6, 8)) is None
+    assert bounded_emptiness(compile_pcp(P_NEG), 6, 8) is None
     assert solve_pcp(P_NEG, 6) is None
     return "EMPTY-WITHIN-BOUNDS\nNONE\n"
 
 
 def _criterion_6() -> str:
     probe = probe_transition()
-    found = bounded_accessibility(compile_pcp_probe(P_UNIT), probe,
-                                  SearchBounds(5, 3))
+    found = bounded_accessibility(compile_pcp_probe(P_UNIT), probe, 5, 3)
     assert found is not None
     assert found[0] == probe_witness(P_UNIT, (1,))
     assert found[0].cells == (("a", "$"), ("a", "$"), ("$", "$"), ("$", "$"))
-    assert bounded_accessibility(compile_pcp_probe(P_NEG), probe,
-                                 SearchBounds(6, 9)) is None
+    assert bounded_accessibility(compile_pcp_probe(P_NEG), probe, 6, 9) is None
     return format_grid(found[0]) + "none\n"
 
 
@@ -143,7 +140,7 @@ def _criterion_7() -> str:
     out = []
     for p, sol in ((P_UNIT, (1,)), (P_TWO, (1, 2))):
         f = compile_pcp(p)
-        found = bounded_emptiness(f, SearchBounds(6, 6))
+        found = bounded_emptiness(f, 6, 6)
         w = found[0]
         pumped = v_compose(w, grid([MARKER * w.cols]))
         assert recognize(f, pumped) is not None

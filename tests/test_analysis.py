@@ -9,7 +9,6 @@ import pytest
 
 from fiskit.analysis import (
     CheckResult,
-    SearchBounds,
     bounded_accessibility,
     bounded_emptiness,
     finiteness_evidence,
@@ -22,7 +21,15 @@ from fiskit.analysis import (
     _y_chunks,
 )
 from fiskit.errors import NotAReductionFis, NotReductionScenario, UnknownTransition
-from fiskit.fis import FIS, Transition, check_scenario, iter_accepted, recognize
+from fiskit.fis import (
+    FIS,
+    Transition,
+    check_scenario,
+    enumerate_language,
+    first_accepted,
+    iter_accepted,
+    recognize,
+)
 from fiskit.grids import grid, v_compose
 from fiskit.pcp import (
     PcpInstance,
@@ -34,6 +41,7 @@ from fiskit.pcp import (
     solve_pcp,
     witness_from_solution,
 )
+from fiskit.tiles import fis_to_tiles, ts_language
 from generators import random_fis
 
 P_UNIT = PcpInstance(x=("a",), y=("a",))
@@ -53,15 +61,26 @@ UNSOLVABLE = [
 ]
 
 
-def test_bounds_must_be_positive():
-    with pytest.raises(ValueError):
-        SearchBounds(0, 4)
-    with pytest.raises(ValueError):
-        SearchBounds(4, 0)
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-2, 3)])
+def test_every_search_refuses_bounds_below_one(f1, rows, cols):
+    # no grid size fits such a bound, so an empty search is no verdict
+    lazy = iter_accepted(f1, rows, cols)  # a generator: refused at its first item
+    searches = [
+        lambda: first_accepted(f1, rows, cols),
+        lambda: enumerate_language(f1, rows, cols),
+        lambda: ts_language(fis_to_tiles(f1), rows, cols),
+        lambda: bounded_emptiness(f1, rows, cols),
+        lambda: bounded_accessibility(compile_pcp_probe(P_UNIT), probe_transition(), rows, cols),
+        lambda: finiteness_evidence(compile_pcp(P_UNIT), rows, cols),
+        lambda: next(lazy),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match=r"^bounds must be at least 1x1$"):
+            search()
 
 
 def test_emptiness_unit_instance():
-    found = bounded_emptiness(compile_pcp(P_UNIT), SearchBounds(4, 4))
+    found = bounded_emptiness(compile_pcp(P_UNIT), 4, 4)
     assert found is not None
     w, sc = found
     assert w.cells == (("a",), ("a",), ("$",))
@@ -69,11 +88,11 @@ def test_emptiness_unit_instance():
 
 
 def test_emptiness_unsolvable_instance():
-    assert bounded_emptiness(compile_pcp(P_NEG), SearchBounds(6, 8)) is None
+    assert bounded_emptiness(compile_pcp(P_NEG), 6, 8) is None
 
 
 def test_emptiness_plain_recognizer(f1, diag1):
-    w, sc = bounded_emptiness(f1, SearchBounds(1, 1))
+    w, sc = bounded_emptiness(f1, 1, 1)
     assert w == diag1
     assert check_scenario(f1, sc) == []
 
@@ -82,28 +101,25 @@ def test_emptiness_agrees_with_solver():
     for p, sol in SOLVABLE:
         assert solve_pcp(p, 4) == sol
         w = witness_from_solution(p, sol)
-        found = bounded_emptiness(compile_pcp(p), SearchBounds(w.rows, w.cols))
+        found = bounded_emptiness(compile_pcp(p), w.rows, w.cols)
         assert found is not None and found[0] == w
-        assert bounded_emptiness(
-            compile_pcp(p), SearchBounds(w.rows - 1, w.cols)) is None
+        assert bounded_emptiness(compile_pcp(p), w.rows - 1, w.cols) is None
         if w.cols > 1:
-            assert bounded_emptiness(
-                compile_pcp(p), SearchBounds(w.rows, w.cols - 1)) is None
+            assert bounded_emptiness(compile_pcp(p), w.rows, w.cols - 1) is None
     for p in UNSOLVABLE:
         assert solve_pcp(p, 4) is None
-        assert bounded_emptiness(compile_pcp(p), SearchBounds(5, 6)) is None
+        assert bounded_emptiness(compile_pcp(p), 5, 6) is None
 
 
 def test_emptiness_stable_under_larger_bounds():
     for p, _ in SOLVABLE:
-        small = bounded_emptiness(compile_pcp(p), SearchBounds(4, 3))
-        large = bounded_emptiness(compile_pcp(p), SearchBounds(7, 8))
+        small = bounded_emptiness(compile_pcp(p), 4, 3)
+        large = bounded_emptiness(compile_pcp(p), 7, 8)
         assert small is not None and small[0] == large[0]
 
 
 def test_accessibility_probe_positive():
-    found = bounded_accessibility(
-        compile_pcp_probe(P_UNIT), probe_transition(), SearchBounds(5, 3))
+    found = bounded_accessibility(compile_pcp_probe(P_UNIT), probe_transition(), 5, 3)
     assert found is not None
     w, sc = found
     assert w.cells == (("a", "$"), ("a", "$"), ("$", "$"), ("$", "$"))
@@ -111,38 +127,33 @@ def test_accessibility_probe_positive():
 
 
 def test_accessibility_probe_negative():
-    assert bounded_accessibility(
-        compile_pcp_probe(P_NEG), probe_transition(), SearchBounds(6, 9)) is None
+    assert bounded_accessibility(compile_pcp_probe(P_NEG), probe_transition(), 6, 9) is None
 
 
 def test_accessibility_plain_recognizer(f1, diag1):
     t = Transition("1", "A", "a", "B", "2")
-    found = bounded_accessibility(f1, t, SearchBounds(1, 1))
+    found = bounded_accessibility(f1, t, 1, 1)
     assert found is not None and found[0] == diag1
 
 
 def test_accessibility_requires_declared_transition(f1):
     with pytest.raises(UnknownTransition):
-        bounded_accessibility(f1, Transition("9", "A", "a", "B", "2"),
-                              SearchBounds(1, 1))
+        bounded_accessibility(f1, Transition("9", "A", "a", "B", "2"), 1, 1)
 
 
 def test_accessibility_mirrors_emptiness_one_row_and_column_up():
     probe = probe_transition()
     for p, _ in SOLVABLE:
         for rows, cols in [(3, 2), (4, 3), (5, 4), (6, 5)]:
-            acc = bounded_accessibility(
-                compile_pcp_probe(p), probe, SearchBounds(rows, cols))
-            emp = bounded_emptiness(
-                compile_pcp(p), SearchBounds(rows - 1, cols - 1))
+            acc = bounded_accessibility(compile_pcp_probe(p), probe, rows, cols)
+            emp = bounded_emptiness(compile_pcp(p), rows - 1, cols - 1)
             assert (acc is None) == (emp is None)
     for p in UNSOLVABLE:
-        assert bounded_accessibility(
-            compile_pcp_probe(p), probe, SearchBounds(5, 6)) is None
+        assert bounded_accessibility(compile_pcp_probe(p), probe, 5, 6) is None
 
 
 def test_finiteness_witness_and_pump():
-    rep = finiteness_evidence(compile_pcp(P_UNIT), SearchBounds(5, 4))
+    rep = finiteness_evidence(compile_pcp(P_UNIT), 5, 4)
     assert not rep.empty_within_bounds
     assert (rep.witness.rows, rep.witness.cols) == (3, 1)
     assert (rep.pumped.rows, rep.pumped.cols) == (4, 1)
@@ -154,7 +165,7 @@ def test_finiteness_witness_and_pump():
 
 
 def test_finiteness_empty_within_bounds():
-    rep = finiteness_evidence(compile_pcp(P_NEG), SearchBounds(6, 8))
+    rep = finiteness_evidence(compile_pcp(P_NEG), 6, 8)
     assert rep.empty_within_bounds
     assert rep.witness is None and rep.pumped is None
     assert "witness: none" in format_finiteness_report(rep)
@@ -162,11 +173,11 @@ def test_finiteness_empty_within_bounds():
 
 def test_finiteness_rejects_foreign_systems(f1):
     with pytest.raises(NotAReductionFis):
-        finiteness_evidence(f1, SearchBounds(2, 2))
+        finiteness_evidence(f1, 2, 2)
     # the probe extension changes the final sets, so the padding law
     # no longer applies as-is
     with pytest.raises(NotAReductionFis):
-        finiteness_evidence(compile_pcp_probe(P_UNIT), SearchBounds(3, 3))
+        finiteness_evidence(compile_pcp_probe(P_UNIT), 3, 3)
 
 
 def test_finiteness_names_the_failed_condition():
@@ -177,14 +188,14 @@ def test_finiteness_names_the_failed_condition():
             initial_states=("s",), initial_classes=("A",),
             final_states=(pad.north,), final_classes=("A",))
     with pytest.raises(NotAReductionFis, match="pad transition .* is not a transition of the"):
-        finiteness_evidence(f, SearchBounds(2, 2))
+        finiteness_evidence(f, 2, 2)
     with pytest.raises(NotAReductionFis, match="final states are not just c"):
-        finiteness_evidence(compile_pcp_probe(P_UNIT), SearchBounds(3, 3))
+        finiteness_evidence(compile_pcp_probe(P_UNIT), 3, 3)
     f = compile_pcp(P_UNIT)
     for broken, why in ((replace(f, initial_classes=f.classes[1:2]), "A is not an initial class"),
                         (replace(f, final_classes=f.final_classes[1:]), "A is not a final class")):
         with pytest.raises(NotAReductionFis, match=why):
-            finiteness_evidence(broken, SearchBounds(3, 3))
+            finiteness_evidence(broken, 3, 3)
 
 
 def test_finiteness_holds_beyond_the_compiled_final_classes():
@@ -192,8 +203,8 @@ def test_finiteness_holds_beyond_the_compiled_final_classes():
     f = compile_pcp(P_UNIT)
     rep = finiteness_evidence(replace(f, classes=f.classes + ("Z",),
                                       final_classes=f.final_classes + ("Z",)),
-                              SearchBounds(5, 4))
-    assert rep == finiteness_evidence(f, SearchBounds(5, 4))
+                              5, 4)
+    assert rep == finiteness_evidence(f, 5, 4)
     assert rep.pumped_accepted
 
 
@@ -211,7 +222,7 @@ def test_padding_law_extends_every_witness_by_two_rows():
                 initial_classes=tuple(dict.fromkeys(f.initial_classes + (pad.west,))),
                 final_states=(pad.north,),
                 final_classes=tuple(dict.fromkeys(f.final_classes + (pad.east,))))
-        rep = finiteness_evidence(g, SearchBounds(3, 3))
+        rep = finiteness_evidence(g, 3, 3)
         if rep.witness is not None:
             witnesses += 1
             pad_row = grid([[pad.letter] * rep.witness.cols])
@@ -221,7 +232,7 @@ def test_padding_law_extends_every_witness_by_two_rows():
 
 
 def test_structural_unit_witness():
-    _, sc = bounded_emptiness(compile_pcp(P_UNIT), SearchBounds(4, 4))
+    _, sc = bounded_emptiness(compile_pcp(P_UNIT), 4, 4)
     rep = structural_check(P_UNIT, sc)
     assert rep.ok
     assert rep.x_indices == (1,) and rep.y_indices == (1,)

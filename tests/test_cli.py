@@ -8,7 +8,7 @@ import pytest
 
 from conftest import diagonal, make_f1, make_trivial
 from fiskit import analysis, cli
-from fiskit.analysis import SearchBounds, bounded_emptiness
+from fiskit.analysis import bounded_emptiness
 from fiskit.errors import FormatError
 from fiskit.fis import format_fis, parse_fis, recognize, render_scenario
 from fiskit.grids import format_grid, grid, parse_grid
@@ -89,12 +89,16 @@ def test_enumerate_prints_canonical_order(files, capsys):
 
 @pytest.mark.parametrize("rows", ["0", "-2"])
 def test_enumerate_rejects_empty_bounds(files, capsys, rows):
+    # every bounded subcommand, not only enumerate: a bound below 1 is an
+    # error, never the verdict EMPTY-WITHIN-BOUNDS or INACCESSIBLE-WITHIN-BOUNDS
     f1_path = files("f1.fis", format_fis(make_f1()))
-    code = cli.main(["enumerate", "--fis", f1_path,
-                     "--max-rows", rows, "--max-cols", "3"])
-    assert code == 2
-    out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: bounds must be at least 1x1\n")
+    for command, extra in (("enumerate", []), ("check-empty", []),
+                           ("check-access", ["--trans", "1 A a B 2"])):
+        for bounds in (["--max-rows", rows, "--max-cols", "3"],
+                       ["--max-rows", "3", "--max-cols", rows]):
+            code = cli.main([command, "--fis", f1_path, *extra, *bounds])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", "error: bounds must be at least 1x1\n"), command
 
 
 def test_compile_pcp_both_flavors(files, capsys, tmp_path):
@@ -138,7 +142,7 @@ def test_check_empty(files, capsys):
     pos = files("s.fis", format_fis(compile_pcp(P_TWO)))
     code, text = run(capsys, "check-empty", "--fis", pos,
                      "--max-rows", "6", "--max-cols", "6")
-    found = bounded_emptiness(compile_pcp(P_TWO), SearchBounds(6, 6))
+    found = bounded_emptiness(compile_pcp(P_TWO), 6, 6)
     assert (code, text) == (0, format_grid(found[0]))
     neg = files("n.fis", format_fis(compile_pcp(P_NEG)))
     code, text = run(capsys, "check-empty", "--fis", neg,

@@ -129,7 +129,7 @@ PUBLIC = """
     FormatError Grid IndexOutOfRange InvalidGrid InvalidLetter
     InvalidSolution LocalLanguage MARKER NotAReductionFis
     NotReductionScenario PcpInstance ReservedSymbolCollision RowMismatch
-    Scenario SearchBounds StructuralReport Tile TileSystem Transition
+    Scenario StructuralReport Tile TileSystem Transition
     UnknownLetter UnknownTransition analysis
     bounded_accessibility bounded_emptiness check_scenario check_solution
     cli compile_pcp compile_pcp_probe enumerate_language errors
