@@ -32,8 +32,8 @@ for name, p in (("unit", solvable), ("mismatch", hopeless)):
         print("emptiness: first accepted grid")
         print(format_grid(found[0]), end="")
 
-    # a nonempty language here is automatically infinite: the witness
-    # pumps vertically by one $-row at a time, and the report shows it
+    # the report decides exactly whether the witness's width has accepted
+    # grids of unboundedly many heights; here it has, as $-rows pump
     print(format_finiteness_report(finiteness_evidence(f, 6, 8)),
           end="")
 

@@ -15,7 +15,6 @@ from .errors import (
     InvalidGrid,
     InvalidLetter,
     InvalidSolution,
-    NotAReductionFis,
     NotReductionScenario,
     ReservedSymbolCollision,
     RowMismatch,
@@ -41,6 +40,7 @@ from .fis import (
     format_fis,
     iter_accepted,
     parse_fis,
+    pumps_at_width,
     recognize,
     recognize_with_transition,
     render_scenario,

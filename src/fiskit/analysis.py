@@ -8,26 +8,25 @@ search.  For systems produced by :func:`fiskit.pcp.compile_pcp` the
 found scenarios have a rigid shape (two rows spelling a word equation,
 then marker rows reducing it); :func:`structural_check` verifies that
 shape claim by claim, reading each compiled name by comparing it with
-the names :mod:`fiskit.pcp` writes.  :func:`finiteness_evidence`
-confirms that a found witness pumps vertically, on any system where the
-padding law holds for :func:`fiskit.pcp.pad_transition`, so a nonempty
-language is infinite.
+the names :mod:`fiskit.pcp` writes.  :func:`finiteness_evidence` adds
+to a witness the exact answer, on any system, whether its width has
+unboundedly many heights (:func:`fiskit.fis.pumps_at_width`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAReductionFis, NotReductionScenario
+from .errors import NotReductionScenario
 from .fis import (
     FIS,
     Scenario,
     Transition,
     check_scenario,
     first_accepted,
-    recognize,
+    pumps_at_width,
 )
-from .grids import Grid, grid, v_compose
+from .grids import Grid
 from .pcp import MARKER, PcpInstance, a_state, c_state, compile_pcp, m_class, pad_transition
 
 
@@ -55,12 +54,11 @@ def bounded_accessibility(f: FIS, t: Transition, max_rows: int,
 
 @dataclass(frozen=True)
 class FinitenessReport:
-    """Outcome of the witness-and-pump probe behind :func:`finiteness_evidence`."""
+    """Outcome of :func:`finiteness_evidence`: a witness and its loop check."""
 
     bounds: tuple[int, int]  # (max_rows, max_cols)
     witness: Grid | None
-    pumped: Grid | None
-    pumped_accepted: bool | None
+    pumps: bool | None  # whether the witness's width pumps; None without one
 
     @property
     def empty_within_bounds(self) -> bool:
@@ -70,38 +68,18 @@ class FinitenessReport:
     def verdict(self) -> str:
         if self.witness is None:
             return "empty within bounds"
-        if self.pumped_accepted:
-            return "nonempty; a padding row extends every witness, so the language is infinite"
-        return "nonempty, but the padded witness was rejected"
+        if self.pumps:
+            return "infinite; the witness's width has unboundedly many heights"
+        return "nonempty; the witness's width has finitely many heights"
 
 
-def finiteness_evidence(f_s: FIS, max_rows: int, max_cols: int) -> FinitenessReport:
-    """Search for a witness and confirm it extends by one padding row.
-
-    The padding law needs the pad transition ``p = pad_transition()``
-    to be a transition of ``f_s``, the final states to be exactly
-    ``{p.north}``, ``p.west`` to be an initial class and ``p.east`` a
-    final class.  Then a row of ``p`` cells extends every accepted
-    grid, and so does the next such row.  A system that fails one of
-    these raises :class:`NotAReductionFis`, which names it.
-    """
-    pad = pad_transition()
-    for holds, what in (
-            (pad in f_s.transitions, f"the pad transition {' '.join(pad)} is not a transition "
-                                     "of the system"),
-            (set(f_s.final_states) == {pad.north}, f"the final states are not just {pad.north}"),
-            (pad.west in f_s.initial_classes, f"{pad.west} is not an initial class"),
-            (pad.east in f_s.final_classes, f"{pad.east} is not a final class")):
-        if not holds:
-            raise NotAReductionFis(f"no padding law: {what}")
-    bounds = (max_rows, max_cols)
-    found = bounded_emptiness(f_s, max_rows, max_cols)
-    if found is None:
-        return FinitenessReport(bounds, None, None, None)
-    w, _ = found
-    pumped = v_compose(w, grid([[pad.letter] * w.cols]))
-    accepted = recognize(f_s, pumped) is not None
-    return FinitenessReport(bounds, w, pumped, accepted)
+def finiteness_evidence(f: FIS, max_rows: int, max_cols: int) -> FinitenessReport:
+    """The first accepted grid within the bounds, and whether its width has
+    unboundedly many heights (:func:`fiskit.fis.pumps_at_width`)."""
+    found = bounded_emptiness(f, max_rows, max_cols)
+    w = None if found is None else found[0]
+    pumps = None if w is None else pumps_at_width(f, w.cols)
+    return FinitenessReport((max_rows, max_cols), w, pumps)
 
 
 def format_finiteness_report(rep: FinitenessReport) -> str:
@@ -110,8 +88,7 @@ def format_finiteness_report(rep: FinitenessReport) -> str:
         lines.append("witness: none")
     else:
         lines.append(f"witness: {rep.witness.rows}x{rep.witness.cols}")
-        lines.append(f"pumped: {rep.pumped.rows}x{rep.pumped.cols}")
-        lines.append(f"pumped-accepted: {'yes' if rep.pumped_accepted else 'no'}")
+        lines.append(f"pumps: {'yes' if rep.pumps else 'no'}")
     lines.append(f"verdict: {rep.verdict}")
     return "\n".join(lines) + "\n"
 

@@ -55,9 +55,9 @@ def _cmd_recognize(args) -> int:
     if sc is None:
         print("REJECT")
         return 1
-    print("ACCEPT")
-    if args.scenario:
+    if args.scenario:  # written first, so an error leaves stdout empty
         _write(args.scenario, render_scenario(sc))
+    print("ACCEPT")
     return 0
 
 
@@ -118,16 +118,10 @@ def _cmd_check_access(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    if args.to == "tiles":
-        if args.fis is None or args.tiles is not None:
-            raise FormatError("convert --to tiles reads --fis")
-        ts = fis_to_tiles(parse_fis(_read(args.fis)))
-        _write(args.out, format_tiles(ts))
+    if args.fis is not None:
+        _write(args.out, format_tiles(fis_to_tiles(parse_fis(_read(args.fis)))))
     else:
-        if args.tiles is None or args.fis is not None:
-            raise FormatError("convert --to fis reads --tiles")
-        f = tiles_to_fis(parse_tiles(_read(args.tiles)))
-        _write(args.out, format_fis(f))
+        _write(args.out, format_fis(tiles_to_fis(parse_tiles(_read(args.tiles)))))
     return 0
 
 
@@ -202,10 +196,10 @@ def _parser() -> argparse.ArgumentParser:
     bounds(p)
     p.set_defaults(func=_cmd_check_access)
 
-    p = sub.add_parser("convert", help="translate between system and tile files")
-    p.add_argument("--fis")
-    p.add_argument("--tiles")
-    p.add_argument("--to", choices=("tiles", "fis"), required=True)
+    p = sub.add_parser("convert", help="translate a system to tiles or tiles to a system")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fis")
+    source.add_argument("--tiles")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convert)
 

@@ -53,12 +53,5 @@ class IndexOutOfRange(FiskitError):
 
 # bounded analyses
 
-class NotAReductionFis(FiskitError):
-    """The padding law does not hold: the pad transition is not a
-    transition of the system, the final states are not just its north
-    state, its west class is not initial or its east class is not
-    final.  The message names the condition that failed."""
-
-
 class NotReductionScenario(FiskitError):
     """A scenario that does not replay on the compiled recognizer."""

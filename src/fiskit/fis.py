@@ -361,10 +361,10 @@ class Engine:
     accepts when every field holds a final state.
 
     A fixed-letter grid is searched one frontier at a time, depth first
-    (:meth:`run`); the bounded searches propagate sets of
-    frontiers (:meth:`run_exist`, :meth:`iter_size`).  One engine
-    serves every search on its system (``FIS._engine``,
-    ``TileSystem._engine``): ``tables`` holds one step table per kind
+    (:meth:`run`); the bounded searches and the loop check at a fixed
+    width propagate sets (:meth:`run_exist`, :meth:`iter_size`,
+    :meth:`pumps`).  One engine serves every search on its system
+    (``FIS._engine``, ``TileSystem._engine``): ``tables`` holds one step table per kind
     of frontier, ``(last column, last row, tracked transition, top)``,
     where ``top`` is ``None`` for the set passes, whose tables serve
     every width, and the top field's shift for :meth:`run`, whose tables
@@ -566,6 +566,33 @@ class Engine:
             if last[q] == k:
                 del forward[q]
 
+    def pumps(self, q: int) -> bool:
+        """Whether width ``q`` has accepted grids of unboundedly many
+        heights: whether the boundary frontiers (rows of south states)
+        reached from ``_START`` that reach acceptance hold a loop."""
+        pred: dict[int, list[int]] = {}  # per boundary frontier, those a row leads from
+        todo = [_START]
+        while todo:  # the closure of {_START} under the row step; no row leads back there
+            row = {f := todo.pop()}
+            for p in range(q):
+                row = self._layer(row, p, q, -1, None)
+            todo += [g for g in row if g not in pred]
+            for g in row:
+                pred.setdefault(g, []).append(f)
+        live = [f for f in pred if self._accepts(f, q, None)]
+        outs = dict.fromkeys(live, 0)  # per frontier in live, its successors in live
+        for g in live:  # grows to every frontier that reaches acceptance
+            for f in pred.get(g, ()):
+                if f not in outs:
+                    live.append(f)
+                outs[f] = outs.get(f, 0) + 1
+        dropped = [f for f, n in outs.items() if not n]
+        for g in dropped:  # grows to all of live but the greatest fixed point
+            for f in pred.get(g, ()):
+                outs[f] -= 1
+            dropped += [f for f in pred.get(g, ()) if not outs[f]]
+        return len(dropped) < len(outs)
+
     def run(self, g: Grid, track: int | None) -> list[int] | None:
         """The canonical run on ``g``, one transition index per cell in
         row-major order, or ``None`` when ``g`` is not accepted.
@@ -691,6 +718,14 @@ def first_accepted(f: FIS, max_rows: int, max_cols: int,
     for g in f._engine.accepted(max_rows, max_cols, track):
         return g, _scenario(f, g, track)
     return None
+
+
+def pumps_at_width(f: FIS, q: int) -> bool:
+    """Whether ``f`` accepts grids of width ``q`` of unboundedly many heights,
+    exactly (:meth:`Engine.pumps`); ``q`` below 1 is a ``ValueError``."""
+    if q < 1:
+        raise ValueError(f"width must be at least 1, not {q}")
+    return f._engine.pumps(q)
 
 
 def iter_accepted(f: FIS, max_rows: int, max_cols: int) -> Iterator[Grid]:

@@ -61,37 +61,61 @@ def accepts(f: FIS, g: Grid) -> bool:
     return bool(all_scenarios(f, g))
 
 
+def _next_rows(f: FIS, q: int, layer, using: Transition | None = None) -> set:
+    """The ``(fired, souths)`` pairs after one more row of width ``q``
+    from those in ``layer``, over any letters, by walking every row run:
+    each row's west class initial and east class final, a north row of
+    ``None`` the north border, whose states are initial."""
+    states, classes = set(f.states), set(f.classes)
+    moves = [t for t in f.transitions if t.letter in f.alphabet
+             and t.north in states and t.south in states
+             and t.west in classes and t.east in classes]
+    nxt: set = set()
+
+    def walk(j: int, fired: bool, above, west, souths: list) -> None:
+        if j == q:
+            if west in f.final_classes:
+                nxt.add((fired, tuple(souths)))
+            return
+        norths = f.initial_states if above is None else (above[j],)
+        wests = f.initial_classes if j == 0 else (west,)
+        for t in moves:
+            if t.north in norths and t.west in wests:
+                walk(j + 1, fired or t == using, above, t.east, souths + [t.south])
+
+    for fired, above in layer:
+        walk(0, fired, above, None, [])
+    return nxt
+
+
 def reachable_rows(f: FIS, q: int, rows: int, using: Transition | None = None) -> list[set]:
     """The rows of south states after each of ``rows`` rows of width
     ``q``, over any letters, by walking every row run: the north border
     initial, each row's west class initial and east class final, the
     south border free.  Entry ``r - 1`` holds ``(fired, souths)`` for
     the runs over ``r`` rows, ``fired`` whether ``using`` fired."""
-    states, classes = set(f.states), set(f.classes)
-    moves = [t for t in f.transitions if t.letter in f.alphabet
-             and t.north in states and t.south in states
-             and t.west in classes and t.east in classes]
     out: list[set] = []
     layer = {(False, None)}  # None: the north border, not drawn yet
     for _ in range(rows):
-        nxt: set = set()
-
-        def walk(j: int, fired: bool, above, west, souths: list) -> None:
-            if j == q:
-                if west in f.final_classes:
-                    nxt.add((fired, tuple(souths)))
-                return
-            norths = f.initial_states if above is None else (above[j],)
-            wests = f.initial_classes if j == 0 else (west,)
-            for t in moves:
-                if t.north in norths and t.west in wests:
-                    walk(j + 1, fired or t == using, above, t.east, souths + [t.south])
-
-        for fired, above in layer:
-            walk(0, fired, above, None, [])
-        out.append(nxt)
-        layer = nxt
+        layer = _next_rows(f, q, layer, using)
+        out.append(layer)
     return out
+
+
+def unbounded_at_width(f: FIS, q: int) -> bool:
+    """Whether ``f`` accepts grids of width ``q`` of unboundedly many
+    heights.  The set of south rows reached after exactly n rows fixes
+    the set after n + 1, so the sets, stepped until one repeats, cycle
+    from there on; the heights are unbounded exactly when some set in
+    the cycle holds a row of final states only."""
+    first: dict[frozenset, int] = {}  # each set met, at the row count it was first met
+    layer = frozenset(_next_rows(f, q, {(False, None)}))
+    while layer not in first:
+        first[layer] = len(first)
+        layer = frozenset(_next_rows(f, q, layer))
+    cycle = [rows for rows, n in first.items() if n >= first[layer]]
+    return any(all(s in f.final_states for s in souths)
+               for rows in cycle for _fired, souths in rows)
 
 
 def sizes(max_rows: int, max_cols: int) -> list[tuple[int, int]]:

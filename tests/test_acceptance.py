@@ -142,11 +142,11 @@ def _criterion_7() -> str:
         f = compile_pcp(p)
         found = bounded_emptiness(f, 6, 6)
         w = found[0]
-        pumped = v_compose(w, grid([MARKER * w.cols]))
-        assert recognize(f, pumped) is not None
+        padded = v_compose(w, grid([MARKER * w.cols]))
+        assert recognize(f, padded) is not None
         doubled = witness_from_solution(p, sol + sol)
         assert recognize(f, doubled) is not None
-        out += [format_grid(pumped), format_grid(doubled)]
+        out += [format_grid(padded), format_grid(doubled)]
     return "\n".join(out)
 
 

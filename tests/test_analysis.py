@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from fiskit.analysis import (
     _x_blocks,
     _y_chunks,
 )
-from fiskit.errors import NotAReductionFis, NotReductionScenario, UnknownTransition
+from fiskit.errors import NotReductionScenario, UnknownTransition
 from fiskit.fis import (
     FIS,
     Transition,
@@ -37,6 +38,7 @@ from fiskit.pcp import (
     compile_pcp,
     compile_pcp_probe,
     pad_transition,
+    parse_pcp,
     probe_transition,
     solve_pcp,
     witness_from_solution,
@@ -44,6 +46,7 @@ from fiskit.pcp import (
 from fiskit.tiles import fis_to_tiles, ts_language
 from generators import random_fis
 
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 P_UNIT = PcpInstance(x=("a",), y=("a",))
 P_TWO = PcpInstance(x=("ab", "b"), y=("a", "bb"))
 P_NEG = PcpInstance(x=("ab",), y=("ba",))
@@ -156,59 +159,59 @@ def test_finiteness_witness_and_pump():
     rep = finiteness_evidence(compile_pcp(P_UNIT), 5, 4)
     assert not rep.empty_within_bounds
     assert (rep.witness.rows, rep.witness.cols) == (3, 1)
-    assert (rep.pumped.rows, rep.pumped.cols) == (4, 1)
-    assert rep.pumped_accepted
-    assert rep.pumped.cells[:-1] == rep.witness.cells
-    assert rep.pumped.cells[-1] == ("$",)
+    assert rep.pumps is True
     text = format_finiteness_report(rep)
-    assert "witness: 3x1" in text and "pumped-accepted: yes" in text
+    assert "witness: 3x1" in text and "pumps: yes" in text
 
 
 def test_finiteness_empty_within_bounds():
     rep = finiteness_evidence(compile_pcp(P_NEG), 6, 8)
     assert rep.empty_within_bounds
-    assert rep.witness is None and rep.pumped is None
+    assert rep.witness is None and rep.pumps is None
     assert "witness: none" in format_finiteness_report(rep)
 
 
-def test_finiteness_rejects_foreign_systems(f1):
-    with pytest.raises(NotAReductionFis):
-        finiteness_evidence(f1, 2, 2)
-    # the probe extension changes the final sets, so the padding law
-    # no longer applies as-is
-    with pytest.raises(NotAReductionFis):
-        finiteness_evidence(compile_pcp_probe(P_UNIT), 3, 3)
+def test_finiteness_reports_on_foreign_systems(f1):
+    # the loop check is exact on any system, so none is refused: the
+    # diagonal system's width 1 holds the 1x1 grid only, and the probe
+    # system pumps as the system it extends does
+    rep = finiteness_evidence(f1, 2, 2)
+    assert ((rep.witness.rows, rep.witness.cols), rep.pumps) == ((1, 1), False)
+    assert format_finiteness_report(rep).splitlines()[2:] == [
+        "pumps: no", "verdict: nonempty; the witness's width has finitely many heights"]
+    rep = finiteness_evidence(compile_pcp_probe(P_UNIT), 5, 5)
+    assert ((rep.witness.rows, rep.witness.cols), rep.pumps) == ((4, 2), True)
 
 
-def test_finiteness_names_the_failed_condition():
-    # every other condition holds, but the pad is not a transition
+def test_finiteness_reports_where_the_padding_law_fails():
+    # no pad transition, A not initial or not final: each gets a report
     pad = pad_transition()
-    f = FIS(alphabet=("x",), states=("s", pad.north), classes=("A",),
-            transitions=(Transition("s", "A", "x", "A", pad.north),),
-            initial_states=("s",), initial_classes=("A",),
-            final_states=(pad.north,), final_classes=("A",))
-    with pytest.raises(NotAReductionFis, match="pad transition .* is not a transition of the"):
-        finiteness_evidence(f, 2, 2)
-    with pytest.raises(NotAReductionFis, match="final states are not just c"):
-        finiteness_evidence(compile_pcp_probe(P_UNIT), 3, 3)
+    no_pad = FIS(alphabet=("x",), states=("s", pad.north), classes=("A",),
+                 transitions=(Transition("s", "A", "x", "A", pad.north),),
+                 initial_states=("s",), initial_classes=("A",),
+                 final_states=(pad.north,), final_classes=("A",))
+    rep = finiteness_evidence(no_pad, 3, 3)
+    assert ((rep.witness.rows, rep.witness.cols), rep.pumps) == ((1, 1), False)
     f = compile_pcp(P_UNIT)
-    for broken, why in ((replace(f, initial_classes=f.classes[1:2]), "A is not an initial class"),
-                        (replace(f, final_classes=f.final_classes[1:]), "A is not a final class")):
-        with pytest.raises(NotAReductionFis, match=why):
-            finiteness_evidence(broken, 3, 3)
+    for g in (replace(f, initial_classes=f.classes[1:2]),
+              replace(f, final_classes=f.final_classes[1:])):
+        rep = finiteness_evidence(g, 3, 3)
+        assert (rep.witness, rep.pumps) == (None, None)
 
 
 def test_finiteness_holds_beyond_the_compiled_final_classes():
-    # an extra final class leaves the padding law intact
+    # an extra final class changes no verdict
     f = compile_pcp(P_UNIT)
     rep = finiteness_evidence(replace(f, classes=f.classes + ("Z",),
                                       final_classes=f.final_classes + ("Z",)),
                               5, 4)
     assert rep == finiteness_evidence(f, 5, 4)
-    assert rep.pumped_accepted
+    assert rep.pumps
 
 
 def test_padding_law_extends_every_witness_by_two_rows():
+    # where the padding law holds, a row of pad cells maps the row of
+    # pad.north states to itself, so the witness's width pumps
     pad = pad_transition()
     rng = random.Random(20261019)
     witnesses = 0
@@ -225,10 +228,17 @@ def test_padding_law_extends_every_witness_by_two_rows():
         rep = finiteness_evidence(g, 3, 3)
         if rep.witness is not None:
             witnesses += 1
-            pad_row = grid([[pad.letter] * rep.witness.cols])
-            assert rep.pumped_accepted
-            assert recognize(g, v_compose(rep.pumped, pad_row)) is not None
+            pad_rows = grid([[pad.letter] * rep.witness.cols] * 2)
+            assert rep.pumps
+            assert recognize(g, v_compose(rep.witness, pad_rows)) is not None
     assert witnesses >= 10
+
+
+def test_finiteness_pumps_on_compiled_demo_instances():
+    for name in ("unit.pcp", "two_words.pcp"):
+        p = parse_pcp((DATA / name).read_text())
+        rep = finiteness_evidence(compile_pcp(p), 6, 8)
+        assert rep.witness is not None and rep.pumps
 
 
 def test_structural_unit_witness():

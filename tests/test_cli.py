@@ -53,6 +53,16 @@ def test_recognize_accept_writes_scenario(files, capsys, tmp_path):
     assert out.read_text() == render_scenario(recognize(make_f1(), diagonal(3)))
 
 
+def test_recognize_writes_the_scenario_before_the_verdict(files, capsys, tmp_path):
+    # an unwritable OUT is an error, and stdout must not say ACCEPT
+    f1_path = files("f1.fis", format_fis(make_f1()))
+    grid_path = files("diag3.grid", format_grid(diagonal(3)))
+    out = tmp_path / "missing" / "sc.txt"
+    code = cli.main(["recognize", "--fis", f1_path, "--grid", grid_path, "--scenario", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_consecutive_calls_share_no_state(files, capsys, tmp_path):
     # the parser is built once per process; no call may see another's arguments
     assert cli._parser() is cli._parser()
@@ -196,23 +206,25 @@ def test_check_access_to_an_undeclared_transition_is_an_error(files, capsys):
 def test_convert_round_trip(files, capsys, tmp_path):
     f1_path = files("f1.fis", format_fis(make_f1()))
     tiles_out = tmp_path / "f1.tiles"
-    assert cli.main(["convert", "--fis", f1_path, "--to", "tiles",
-                     "--out", str(tiles_out)]) == 0
+    assert cli.main(["convert", "--fis", f1_path, "--out", str(tiles_out)]) == 0
     assert parse_tiles(tiles_out.read_text()) == fis_to_tiles(make_f1())
     fis_out = tmp_path / "back.fis"
-    assert cli.main(["convert", "--tiles", str(tiles_out), "--to", "fis",
-                     "--out", str(fis_out)]) == 0
+    assert cli.main(["convert", "--tiles", str(tiles_out), "--out", str(fis_out)]) == 0
     back = parse_fis(fis_out.read_text())
     assert recognize(back, diagonal(2)) is not None
     assert recognize(back, grid(["ab", "ba"])) is None
 
 
-def test_convert_flag_mismatch_is_an_error(files, capsys, tmp_path):
+def test_convert_takes_exactly_one_input(files, capsys, tmp_path):
+    # the input names the direction: a system converts to tiles, tiles to a system
     f1_path = files("f1.fis", format_fis(make_f1()))
-    out = str(tmp_path / "x")
-    assert cli.main(["convert", "--fis", f1_path, "--to", "fis",
-                     "--out", out]) == 2
-    assert cli.main(["convert", "--to", "tiles", "--out", out]) == 2
+    tiles_path = files("f1.tiles", "")
+    out = tmp_path / "x"
+    for argv in (["--fis", f1_path, "--tiles", tiles_path], [],
+                 ["--fis", f1_path, "--to", "tiles"]):
+        assert cli.main(["convert", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 def test_convert_rejects_a_tile_letter_outside_the_alphabet(files, capsys, tmp_path):
@@ -220,8 +232,7 @@ def test_convert_rejects_a_tile_letter_outside_the_alphabet(files, capsys, tmp_p
     with pytest.raises(FormatError):
         parse_tiles(text)
     path = files("bad.tiles", text)
-    assert cli.main(["convert", "--tiles", path, "--to", "fis",
-                     "--out", str(tmp_path / "out.fis")]) == 2
+    assert cli.main(["convert", "--tiles", path, "--out", str(tmp_path / "out.fis")]) == 2
     assert capsys.readouterr().err == "error: tile letter 'w' not in the alphabet\n"
     assert not (tmp_path / "out.fis").exists()
 

@@ -2,7 +2,8 @@
 scenarios, the canonical scenario of every small grid, languages at the
 bit-field width boundaries, wide profiles, the cost and depth of the
 recognizer's search and of the determinized letter walk, and the one
-engine each system keeps across searches."""
+engine each system keeps across searches, and the loop check over
+row-boundary frontiers."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import itertools
 import random
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -27,11 +29,12 @@ from fiskit.fis import (
     format_fis,
     iter_accepted,
     parse_fis,
+    pumps_at_width,
     recognize,
     recognize_with_transition,
 )
 from fiskit.grids import grid, sizes
-from fiskit.pcp import PcpInstance, compile_pcp, witness_from_solution
+from fiskit.pcp import PcpInstance, compile_pcp, parse_pcp, witness_from_solution
 from fiskit.tiles import fis_to_tiles, ts_language, ts_recognize
 
 # every state and class initial and final, all 72 transitions: every
@@ -167,6 +170,40 @@ def test_row_boundary_layers_of_a_profile_wider_than_a_machine_word():
         got = boundary_rows(f, q, 3, using)
         assert got == oracles.reachable_rows(f, q, 3, using)
         assert [len(rows) for rows in got] == [1, 1, 1]
+
+
+def test_pumps_at_width_is_the_oracles_verdict():
+    rng = random.Random(5)
+    unbounded = 0
+    for _ in range(200):
+        f = random_fis(rng)
+        for q in (1, 2, 3):
+            got = pumps_at_width(f, q)
+            assert got == oracles.unbounded_at_width(f, q), (f, q)
+            unbounded += got
+    assert unbounded == 184  # of 600 checks: both verdicts are met
+
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+@pytest.mark.parametrize("make, widths, pumping", [
+    (lambda: compile_pcp(PcpInstance(x=("a", "ab", "bba"), y=("baa", "aa", "bb"))),
+     range(1, 13), [9]),
+    (lambda: compile_pcp(parse_pcp((DATA / "two_words.pcp").read_text())), range(1, 7), [3, 6]),
+    (lambda: compile_pcp(parse_pcp((DATA / "unit.pcp").read_text())), range(1, 7),
+     [1, 2, 3, 4, 5, 6]),
+    (lambda: parse_fis((DATA / "diagonal.fis").read_text()), range(1, 6), []),
+], ids=["a-baa", "two_words", "unit", "diagonal"])
+def test_widths_that_pump(make, widths, pumping):
+    f = make()
+    assert [q for q in widths if pumps_at_width(f, q)] == pumping
+
+
+def test_pumps_at_width_refuses_width_zero(f1):
+    # at width 0 the closure would loop on its start, which accepts
+    with pytest.raises(ValueError, match="^width must be at least 1, not 0$"):
+        pumps_at_width(f1, 0)
 
 
 def test_step_tables_are_kept_per_kind_of_frontier():

@@ -127,7 +127,7 @@ def test_unused_import_guard_allows_used_names():
 PUBLIC = """
     BORDER CheckResult ColumnMismatch FIS FinitenessReport FiskitError
     FormatError Grid IndexOutOfRange InvalidGrid InvalidLetter
-    InvalidSolution LocalLanguage MARKER NotAReductionFis
+    InvalidSolution LocalLanguage MARKER
     NotReductionScenario PcpInstance ReservedSymbolCollision RowMismatch
     Scenario StructuralReport Tile TileSystem Transition
     UnknownLetter UnknownTransition analysis
@@ -137,7 +137,7 @@ PUBLIC = """
     format_finiteness_report format_fis format_grid format_pcp
     format_structural_report format_tiles grid grids h_compose
     iter_accepted main pad_transition parse_fis parse_grid
-    parse_pcp parse_tiles pcp probe_transition probe_witness quote
+    parse_pcp parse_tiles pcp probe_transition probe_witness pumps_at_width quote
     recognize recognize_with_transition render_scenario solve_pcp
     structural_check tiles tiles_to_fis
     ts_language ts_recognize v_compose witness_from_solution

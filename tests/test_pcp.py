@@ -236,8 +236,8 @@ def test_vertical_pumping_of_witnesses():
     for p, sol in SOLVABLE:
         s = compile_pcp(p)
         w = witness_from_solution(p, sol)
-        pumped = v_compose(w, grid([[MARKER] * w.cols]))
-        assert recognize(s, pumped) is not None
+        padded = v_compose(w, grid([[MARKER] * w.cols]))
+        assert recognize(s, padded) is not None
 
 
 def test_doubled_solutions_need_their_own_witness():

@@ -485,8 +485,7 @@ def test_conflicting_map_lines_are_rejected(tmp_path, capsys):
         parse_tiles(text)
     path = tmp_path / "conflict.tiles"
     path.write_text(text)
-    assert cli.main(["convert", "--tiles", str(path), "--to", "fis",
-                     "--out", str(tmp_path / "out.fis")]) == 2
+    assert cli.main(["convert", "--tiles", str(path), "--out", str(tmp_path / "out.fis")]) == 2
     assert "error:" in capsys.readouterr().err
 
 
