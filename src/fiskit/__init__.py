@@ -8,16 +8,11 @@ procedures with structural reporting on top.
 """
 
 from .errors import (
-    ColumnMismatch,
     FiskitError,
     FormatError,
     IndexOutOfRange,
-    InvalidGrid,
-    InvalidLetter,
     InvalidSolution,
     NotReductionScenario,
-    ReservedSymbolCollision,
-    RowMismatch,
     UnknownLetter,
     UnknownTransition,
 )

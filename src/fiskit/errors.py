@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A value that cannot be built, be it a letter, a grid, an instance, a
+system, a tile set or a bound, raises ``ValueError``.  The types here
+are for the other two cases: a text document that does not follow its
+format, and a well-formed object asked something it cannot answer.
+"""
 
 
 class FiskitError(Exception):
@@ -7,24 +13,6 @@ class FiskitError(Exception):
 
 class FormatError(FiskitError):
     """A text document does not follow one of the on-disk formats."""
-
-
-# grid construction and algebra
-
-class InvalidLetter(FiskitError):
-    """A cell token is empty, contains whitespace, or is the border symbol."""
-
-
-class InvalidGrid(FiskitError):
-    """A grid is empty or its rows have unequal lengths."""
-
-
-class ColumnMismatch(FiskitError):
-    """Vertical composition of grids with different column counts."""
-
-
-class RowMismatch(FiskitError):
-    """Horizontal composition of grids with different row counts."""
 
 
 # interactive systems
@@ -38,10 +26,6 @@ class UnknownTransition(FiskitError):
 
 
 # correspondence instances and compilers
-
-class ReservedSymbolCollision(FiskitError):
-    """An instance alphabet that contains a reserved marker symbol."""
-
 
 class InvalidSolution(FiskitError):
     """An index sequence that is not a solution of the instance."""

@@ -51,7 +51,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import FormatError, InvalidLetter, UnknownLetter, UnknownTransition
+from .errors import FormatError, UnknownLetter, UnknownTransition
 from .grids import Grid
 from . import grids
 
@@ -101,7 +101,7 @@ class FIS:
                        for t in self.transitions)
             letters, states, classes = set(self.alphabet), set(self.states), set(self.classes)
             north, west, letter, east, south = zip(*ts) if ts else ((),) * 5
-            ok = (all(map(_is_letter, self.alphabet))
+            ok = (all(map(grids.is_letter, self.alphabet))
                   and all(map(grids.is_token, chain(self.states, self.classes)))
                   and len(letters) == len(self.alphabet) and len(states) == len(self.states)
                   and len(classes) == len(self.classes) and letters.issuperset(letter)
@@ -133,15 +133,6 @@ def _transition(t: object) -> Transition:
     return Transition(*t)
 
 
-def _is_letter(a: str) -> bool:
-    """Whether ``a`` passes :func:`fiskit.grids.check_letter`."""
-    try:
-        grids.check_letter(a)
-    except InvalidLetter:
-        return False
-    return True
-
-
 def _hashable(x: object) -> bool:
     try:
         hash(x)
@@ -167,7 +158,7 @@ def _diagnostics(f: FIS) -> list[str]:
                     out.append(f'Duplicate{kind} "{name}"')
                 seen.add(name)
 
-    check_names("Letter", f.alphabet, _is_letter)
+    check_names("Letter", f.alphabet, grids.is_letter)
     check_names("State", f.states)
     check_names("Class", f.classes)
 

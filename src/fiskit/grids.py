@@ -1,9 +1,9 @@
 """Rectangular grids of letters and the operations used everywhere else.
 
-A grid is a non-empty rectangular array of letters.  A letter is any
-token (:func:`is_token`) except the reserved border symbol ``#``, which
-only ever appears in the frame around a grid that the tiles of
-:mod:`fiskit.tiles` show.
+A grid is a non-empty rectangular array of letters.  A letter
+(:func:`is_letter`) is any token (:func:`is_token`) except the reserved
+border symbol ``#``, which only ever appears in the frame around a grid
+that the tiles of :mod:`fiskit.tiles` show.
 
 Canonical grid order lives here too: :func:`sizes` lists the sizes in
 the order in which every language, of a system or of a tile system, is
@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import (
-    ColumnMismatch,
-    FormatError,
-    InvalidGrid,
-    InvalidLetter,
-    RowMismatch,
-)
+from .errors import FormatError
 
 BORDER = "#"
 
@@ -37,28 +31,37 @@ def is_token(tok: object) -> bool:
     return isinstance(tok, str) and tok.split() == [tok]
 
 
+def is_letter(token: object) -> bool:
+    """Whether ``token`` is a letter: a token other than ``#``."""
+    return is_token(token) and token != BORDER
+
+
 def check_letter(token: str) -> str:
-    """Return ``token`` if it is a valid letter, raise otherwise."""
-    if not is_token(token):
-        raise InvalidLetter(f"letter {token!r} is not a non-empty string without whitespace")
-    if token == BORDER:
-        raise InvalidLetter(f"letter {token!r} is the reserved border symbol")
+    """Return ``token`` if it is a letter, else raise ``ValueError``."""
+    if not is_letter(token):
+        raise ValueError(f"letter {token!r} is the reserved border symbol" if token == BORDER
+                         else f"letter {token!r} is not a non-empty string without whitespace")
     return token
 
 
 @dataclass(frozen=True)
 class Grid:
-    """An m x q array of letters, m >= 1 and q >= 1, stored row-major."""
+    """An m x q array of letters, m >= 1 and q >= 1, stored row-major;
+    any other ``cells`` raise ``ValueError``."""
 
     cells: Cells
 
     def __post_init__(self) -> None:
         if not self.cells or not self.cells[0]:
-            raise InvalidGrid("grids must have at least one row and one column")
+            raise ValueError("grids must have at least one row and one column")
         width = len(self.cells[0])
         if any(len(row) != width for row in self.cells):
-            raise InvalidGrid("grid rows must all have the same length")
-        for cell in dict.fromkeys(chain.from_iterable(self.cells)):  # each letter once
+            raise ValueError("grid rows must all have the same length")
+        try:
+            cells = dict.fromkeys(chain.from_iterable(self.cells))  # each letter once
+        except TypeError:  # an unhashable cell, which check_letter refuses
+            cells = chain.from_iterable(self.cells)
+        for cell in cells:
             check_letter(cell)
 
     @property
@@ -96,16 +99,18 @@ def sizes(max_rows: int, max_cols: int) -> list[tuple[int, int]]:
 
 
 def v_compose(top: Grid, bottom: Grid) -> Grid:
-    """Stack two grids vertically; they must agree on column count."""
+    """Stack two grids vertically; they must agree on column count, else
+    ``ValueError``."""
     if top.cols != bottom.cols:
-        raise ColumnMismatch(f"{top.cols} columns vs {bottom.cols}")
+        raise ValueError(f"{top.cols} columns vs {bottom.cols}")
     return Grid(top.cells + bottom.cells)
 
 
 def h_compose(left: Grid, right: Grid) -> Grid:
-    """Join two grids side by side; they must agree on row count."""
+    """Join two grids side by side; they must agree on row count, else
+    ``ValueError``."""
     if left.rows != right.rows:
-        raise RowMismatch(f"{left.rows} rows vs {right.rows}")
+        raise ValueError(f"{left.rows} rows vs {right.rows}")
     return Grid(tuple(a + b for a, b in zip(left.cells, right.cells)))
 
 
@@ -126,10 +131,7 @@ def read_keys(text: str, counts: dict[str, int | None]) -> dict[str, list]:
     :class:`FormatError` naming its number.
     """
     doc: dict[str, list] = {key: [] for key in counts}
-    for n, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line[0] == "#":
-            continue  # a blank line or a comment, as in content_lines
+    for n, line in content_lines(text):
         key, sep, rest = line.partition(":")
         key, tokens = key.strip(), rest.split()
         count = counts.get(key, ...)  # a count is an int or None, never ...
@@ -167,7 +169,7 @@ def parse_grid(text: str) -> Grid:
         raise FormatError("no grid rows found")
     try:
         return Grid(tuple(rows))
-    except (InvalidGrid, InvalidLetter) as exc:
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 

@@ -21,13 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    FiskitError,
-    FormatError,
-    IndexOutOfRange,
-    InvalidSolution,
-    ReservedSymbolCollision,
-)
+from .errors import FormatError, IndexOutOfRange, InvalidSolution
 from .fis import FIS, Transition
 from .grids import Grid, check_letter, content_lines, grid, h_compose, is_token, v_compose
 
@@ -58,8 +52,7 @@ class PcpInstance:
         inferred = sorted(set("".join(self.x + self.y)))
         alphabet = tuple(self.alphabet) or tuple(inferred)
         if MARKER in inferred or MARKER in alphabet:
-            raise ReservedSymbolCollision(
-                f"the marker {MARKER!r} cannot be an instance letter")
+            raise ValueError(f"the marker {MARKER!r} cannot be an instance letter")
         for a in (*inferred, *alphabet):
             check_letter(a)
         if len(set(alphabet)) != len(alphabet):
@@ -320,7 +313,7 @@ def parse_pcp(text: str) -> PcpInstance:
         raise FormatError("no word pairs found")
     try:
         return PcpInstance(*zip(*pairs), alphabet=alphabet.split())
-    except (ValueError, FiskitError) as exc:
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 

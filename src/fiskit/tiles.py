@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
 
-from .errors import FormatError, InvalidLetter
+from .errors import FormatError
 from .fis import FIS, Engine, Transition
 from .grids import BORDER, Grid, check_letter, read_keys
 
@@ -97,6 +97,9 @@ class TileSystem:
         object.__setattr__(self, "mapping", tuple(tuple(p) for p in self.mapping))
         for a in self.target:
             check_letter(a)
+        for a in chain.from_iterable(self.mapping):
+            if not isinstance(a, str):  # no letter, and maybe unhashable
+                check_letter(a)
         h = dict(self.mapping)
         targets = set(self.target)
         sources = set(self.local.alphabet)
@@ -363,7 +366,7 @@ def parse_tiles(text: str) -> TileSystem:
             target=doc["target"],
             mapping=doc["map"],
         )
-    except (ValueError, InvalidLetter) as exc:
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 

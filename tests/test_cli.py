@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diagonal, make_f1, make_trivial
 from fiskit import analysis, cli
@@ -20,7 +25,7 @@ from fiskit.pcp import (
     probe_witness,
     witness_from_solution,
 )
-from fiskit.tiles import fis_to_tiles, parse_tiles
+from fiskit.tiles import fis_to_tiles, format_tiles, parse_tiles
 
 ROOT = Path(__file__).resolve().parent.parent
 P_TWO = PcpInstance(x=("ab", "b"), y=("a", "bb"))
@@ -347,3 +352,66 @@ def test_readme_round_trip_prints_what_readme_shows(monkeypatch, capsys, tmp_pat
             (tmp_path / target).write_text(text, encoding="utf-8")
             text = ""
         assert text.splitlines() == want, argv
+
+
+# tokens of a working system and tile set, and the characters the
+# formats and the tile names give a meaning: the border, the marker,
+# and the separators and escape of joined names
+TOKENS = st.sampled_from(["1", "2", "A", "B", "a", "b", "c", "ab", "#", "$", ",", "/", "\\",
+                          "a,b", "a/b", "#a"])
+
+
+def key_lines(*keys: str):
+    """``key: tokens`` lines over ``keys`` and :data:`TOKENS`."""
+    return st.tuples(st.sampled_from(keys), st.lists(TOKENS, max_size=5)).map(
+        lambda kt: f"{kt[0]}: {' '.join(kt[1])}")
+
+
+def documents(model: str, lines):
+    """The lines of a ``model`` document, up to two of them dropped and
+    up to two of ``lines`` added."""
+    rows = model.splitlines()
+    return st.tuples(st.sets(st.sampled_from(range(len(rows))), max_size=2),
+                     st.lists(lines, max_size=2)).map(lambda edit: "\n".join(
+        [row for i, row in enumerate(rows) if i not in edit[0]] + edit[1]))
+
+
+FIS_DOCS = documents(format_fis(make_f1()), key_lines(
+    "alphabet", "states", "classes", "initial_states", "initial_classes",
+    "final_states", "final_classes", "trans", "tile"))
+TILE_DOCS = documents(format_tiles(fis_to_tiles(make_f1())),
+                      key_lines("alphabet", "target", "map", "tile", "trans"))
+PCP_DOCS = documents(format_pcp(P_TWO), st.one_of(
+    key_lines("alphabet"), st.lists(TOKENS, max_size=3).map(" ".join)))
+GRID_DOCS = st.lists(st.lists(st.one_of(st.sampled_from("abc"), TOKENS),
+                              min_size=1, max_size=3).map(" ".join),
+                     min_size=1, max_size=3).map("\n".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIS_DOCS, TILE_DOCS, PCP_DOCS, GRID_DOCS, st.one_of(
+    st.sampled_from([" ".join(t) for t in make_f1().transitions]),
+    st.lists(TOKENS, min_size=5, max_size=5).map(" ".join)))
+def test_documents_never_end_in_an_internal_error(fis, tiles, pcp, grid_text, trans):
+    # whatever a document in these formats says, each command reading it
+    # answers or names the error, at exit 0, 1 or 2
+    with tempfile.TemporaryDirectory() as tmp:
+        F, T, P, G = (str(Path(tmp, name)) for name in "FTPG")
+        for path, text in ((F, fis), (T, tiles), (P, pcp), (G, grid_text)):
+            Path(path).write_text(text + "\n", encoding="utf-8")
+        out, bounds = str(Path(tmp, "out")), ["--max-rows", "2", "--max-cols", "2"]
+        for argv in (["recognize", "--fis", F, "--grid", G],
+                     ["enumerate", "--fis", F, *bounds],
+                     ["check-empty", "--fis", F, *bounds],
+                     ["check-access", "--fis", F, "--trans", trans, *bounds],
+                     ["convert", "--fis", F, "--out", out],
+                     ["convert", "--tiles", T, "--out", out],
+                     ["compile-pcp", "--pcp", P, "--out", out],
+                     ["solve-pcp", "--pcp", P, "--max-k", "2"],
+                     ["witness", "--pcp", P, "--indices", "1", "2"],
+                     ["check-structure", "--pcp", P, "--grid", G]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2) and "error: internal" not in err.getvalue(), \
+                (argv, err.getvalue())

@@ -194,7 +194,14 @@ DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
     (lambda: compile_pcp(parse_pcp((DATA / "unit.pcp").read_text())), range(1, 7),
      [1, 2, 3, 4, 5, 6]),
     (lambda: parse_fis((DATA / "diagonal.fis").read_text()), range(1, 6), []),
-], ids=["a-baa", "two_words", "unit", "diagonal"])
+    # a binary counter: each row adds the west carry 1 to the row above,
+    # so width q accepts height 2^q - 1 alone, after a chain of 2^q
+    # boundary frontiers
+    (lambda: FIS(alphabet=("a",), states=("0", "1"), classes=("0", "1"), transitions=[
+        (str(n), str(c), "a", str(n & c), str(n ^ c)) for n in (0, 1) for c in (0, 1)],
+        initial_states=("0",), initial_classes=("1",), final_states=("1",),
+        final_classes=("0",)), range(1, 7), []),
+], ids=["a-baa", "two_words", "unit", "diagonal", "binary-counter"])
 def test_widths_that_pump(make, widths, pumping):
     f = make()
     assert [q for q in widths if pumps_at_width(f, q)] == pumping

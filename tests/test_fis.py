@@ -300,12 +300,10 @@ def test_text_format_parses_comments_and_blanks(f1):
 
 
 def test_text_format_errors():
-    with pytest.raises(FormatError):
-        parse_fis("alphabets: a\n")
-    with pytest.raises(FormatError):
-        parse_fis("trans: 1 A a B\n")
-    with pytest.raises(FormatError):
-        parse_fis("just some words\n")
+    # a line is named by its number in the file, comments and blank lines counted
+    for bad in ("alphabets: a", "trans: 1 A a B", "just some words"):
+        with pytest.raises(FormatError, match="^line 3: "):
+            parse_fis(f"# a system\n\n{bad}\nalphabet: a\n")
 
 
 def test_text_format_allows_empty_sections(f1):

@@ -125,10 +125,10 @@ def test_unused_import_guard_allows_used_names():
 # the public API in full: adding or removing a name changes this list,
 # and README with it
 PUBLIC = """
-    BORDER CheckResult ColumnMismatch FIS FinitenessReport FiskitError
-    FormatError Grid IndexOutOfRange InvalidGrid InvalidLetter
+    BORDER CheckResult FIS FinitenessReport FiskitError
+    FormatError Grid IndexOutOfRange
     InvalidSolution LocalLanguage MARKER
-    NotReductionScenario PcpInstance ReservedSymbolCollision RowMismatch
+    NotReductionScenario PcpInstance
     Scenario StructuralReport Tile TileSystem Transition
     UnknownLetter UnknownTransition analysis
     bounded_accessibility bounded_emptiness check_scenario check_solution
@@ -146,6 +146,17 @@ PUBLIC = """
 
 def test_public_api_is_pinned():
     assert sorted(fiskit.__all__) == sorted(PUBLIC)
+
+
+def test_every_exception_type_is_raised():
+    # a value that cannot be built is a ValueError; each type errors.py
+    # defines besides the base class is raised somewhere, or it is dead
+    defined = [node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name != "FiskitError"]
+    raised = {_dotted(call.func) for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and isinstance(call := node.exc, ast.Call)}
+    assert defined and [name for name in defined if name not in raised] == []
 
 
 def test_readme_library_quick_start_runs(monkeypatch, capsys):

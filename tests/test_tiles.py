@@ -16,7 +16,7 @@ import oracles
 from conftest import diagonal, make_f1, make_trivial
 from generators import random_fis, random_tile_system
 from fiskit import cli
-from fiskit.errors import FormatError, InvalidLetter, UnknownLetter
+from fiskit.errors import FormatError, UnknownLetter
 from fiskit.fis import (
     FIS,
     Transition,
@@ -85,7 +85,7 @@ def test_local_language_dedups_and_checks_letters():
     with pytest.raises(ValueError):
         LocalLanguage(alphabet=("v",), delta=(t, ((B, "v"), (B, "w"))))
     # a local letter spelled like the border would stand in for the frame
-    with pytest.raises(InvalidLetter):
+    with pytest.raises(ValueError, match="letter '#' is the reserved border symbol"):
         LocalLanguage(alphabet=(B,), delta=(((B, B), (B, B)),))
 
 
@@ -122,7 +122,7 @@ def test_a_repeated_tile_is_checked_in_either_order(subclass, first):
 @pytest.mark.parametrize("target", [B, "x y", ""], ids=["border", "space", "empty"])
 def test_a_tile_system_checks_its_target_letters(target):
     ll = LocalLanguage(alphabet=("v",), delta=corner_tiles("v"))
-    with pytest.raises(InvalidLetter):
+    with pytest.raises(ValueError, match=f"^letter {target!r} is "):
         TileSystem(local=ll, target=(target,), mapping=(("v", target),))
 
 
@@ -379,8 +379,8 @@ def test_parse_rejects_malformed():
         parse_tiles("alphabet: v\nnonsense line\n")
     with pytest.raises(FormatError):
         parse_tiles("alphabet: v\ntarget: x\nmap: v x\ntile: v v / v\n")
-    with pytest.raises(FormatError):
-        parse_tiles("alphabet: v\ntarget: x\nmap: v\n")
+    with pytest.raises(FormatError, match="^line 3: map needs 2 tokens"):
+        parse_tiles("# a tile system\n\nmap: v\nalphabet: v\ntarget: x\n")
     with pytest.raises(FormatError):
         parse_tiles("alien: v\n")
     # projection not total on the alphabet
